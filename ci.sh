@@ -6,6 +6,18 @@ cd "$(dirname "$0")"
 
 step() { echo; echo "==> $*"; }
 
+# Every temp path goes on one list, removed once on exit (a second
+# `trap ... EXIT` would replace the first instead of adding to it).
+TMP_PATHS=()
+trap 'rm -rf "${TMP_PATHS[@]}"' EXIT
+# tmp VAR [mktemp args...]: create a temp path, register it, store it in VAR.
+tmp() {
+  local path
+  path="$(mktemp "${@:2}")"
+  TMP_PATHS+=("$path")
+  printf -v "$1" '%s' "$path"
+}
+
 step "cargo fmt --check"
 cargo fmt --all --check
 
@@ -14,6 +26,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 step "cargo build --release"
 cargo build --release
+
+step "perfbench builds against the public API (its own workspace)"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
 step "cargo test -q (tier-1)"
 cargo test -q
@@ -75,8 +90,7 @@ step "static->dynamic bridge (D5xx-clean plans survive seeded interleaving stres
 cargo test -q --test model_check_bridge
 
 step "duet-serve smoke (low-qps load, zero shed, bit-identity, witness)"
-METRICS_OUT="$(mktemp)"
-trap 'rm -f "$METRICS_OUT"' EXIT
+tmp METRICS_OUT
 cargo run -q --release -p duet-serve --bin duet-serve -- \
   --model wide_deep --qps 25 --duration-ms 1200 --max-batch 4 \
   --no-drift --require-zero-shed --metrics-out "$METRICS_OUT"
@@ -110,9 +124,8 @@ done
 echo "all metric families present."
 
 step "flight recorder end-to-end (SLO burn -> one dump -> render/attribution/replay)"
-FLIGHT_DIR="$(mktemp -d)"
-INSIGHT_OUT="$(mktemp --suffix .json)"
-trap 'rm -f "$METRICS_OUT" "$INSIGHT_OUT"; rm -rf "$FLIGHT_DIR"' EXIT
+tmp FLIGHT_DIR -d
+tmp INSIGHT_OUT --suffix .json
 # A 50 us SLO no real request can meet: the first window burns, the
 # flight recorder latches, and exactly one dump lands in the directory.
 cargo run -q --release -p duet-serve --bin duet-serve -- \
@@ -136,10 +149,9 @@ PY
 cargo run -q --release --bin duet-lint -- trace --dump "${DUMPS[0]}"
 
 step "duet tune gate (drift scenario: never worse than Algorithm 1, promoted, deterministic)"
-TUNE_A="$(mktemp --suffix .json)"
-TUNE_B="$(mktemp --suffix .json)"
-TUNE_METRICS="$(mktemp)"
-trap 'rm -f "$METRICS_OUT" "$TUNE_A" "$TUNE_B" "$TUNE_METRICS"' EXIT
+tmp TUNE_A --suffix .json
+tmp TUNE_B --suffix .json
+tmp TUNE_METRICS
 # The CLI exits nonzero on a never-worse violation or failed promotion;
 # on the zoo the drift run must also strictly beat the stale plan.
 cargo run -q --release --bin duet -- tune wide_and_deep \
@@ -179,8 +191,7 @@ done
 echo "all duet_tune_* metric families present."
 
 step "merged perfetto trace (duet trace --full) is one valid JSON document"
-TRACE_OUT="$(mktemp --suffix .json)"
-trap 'rm -f "$METRICS_OUT" "$TRACE_OUT"' EXIT
+tmp TRACE_OUT --suffix .json
 cargo run -q --release --bin duet -- trace siamese "$TRACE_OUT" --full
 python3 - "$TRACE_OUT" <<'PY'
 import json, sys

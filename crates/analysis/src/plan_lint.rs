@@ -1,6 +1,6 @@
 //! The plan/schedule linter (`D2xx`).
 //!
-//! Subsumes the hard errors of `duet_runtime::validate_schedule` and
+//! The typed structural check of plans and placed schedules: subsumes
 //! `SchedulePlan::validate_against` (coverage, sources, cycles, stale
 //! fingerprints) with precise per-finding codes, and layers performance
 //! lints on top: plans that will *run* but waste the coupled
@@ -55,7 +55,7 @@ pub struct PlanFacts {
     pub fallback: bool,
     /// Critical-path lower bound on any placement's makespan, when the
     /// producer computed one (chain bound ∨ work bound; see
-    /// `duet-core`'s `critical_path_lower_bound_us`). Drives the `D215`
+    /// `duet-runtime`'s `CompiledPlan::critical_path_lower_bound_us`). Drives the `D215`
     /// optimality-gap lint; `None` disables it.
     pub critical_path_lb_us: Option<f64>,
     pub subgraphs: Vec<PlanSubgraphFacts>,
@@ -212,8 +212,11 @@ pub fn lint_plan(graph: &Graph, facts: &PlanFacts, config: &LintConfig) -> Repor
 }
 
 /// Lint an executable placed schedule (the `duet-runtime` view, no
-/// phase structure). Strictly subsumes `validate_schedule`: every
-/// `ScheduleError` maps to a `D2xx` code here.
+/// phase structure). This is the typed check to run before handing a
+/// hand-assembled schedule to the runtime, whose plan construction
+/// panics on a coverage defect: unknown (`D200`), source-covering
+/// (`D201`), doubly covered (`D202`) and uncovered (`D203`) nodes,
+/// unproduced outputs (`D204`) and cyclic subgraphs (`D205`).
 pub fn lint_schedule(graph: &Graph, placed: &[Placed]) -> Report {
     let facts = PlanFacts {
         model: graph.name.clone(),
@@ -422,5 +425,91 @@ fn perf_lints(
                 ),
             ));
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use duet_compiler::Compiler;
+
+    /// x -> a -> b -> c, output c.
+    fn chain() -> Graph {
+        let mut b = duet_ir::GraphBuilder::new("chain", 1);
+        let x = b.input("x", vec![1, 8]);
+        let a = b.dense("a", x, 8, None).unwrap();
+        let h = b.dense("b", a, 8, None).unwrap();
+        let y = b.dense("c", h, 4, None).unwrap();
+        b.finish(&[y]).unwrap()
+    }
+
+    fn placed_for(g: &Graph, chunks: &[&[NodeId]]) -> Vec<Placed> {
+        let c = Compiler::default();
+        chunks
+            .iter()
+            .enumerate()
+            .map(|(i, nodes)| Placed {
+                sg: c.compile_nodes(g, nodes, format!("s{i}")),
+                device: DeviceKind::Cpu,
+            })
+            .collect()
+    }
+
+    /// Compute ids grouped per dense layer (matmul + bias) by label.
+    fn layer(g: &Graph, name: &str) -> Vec<NodeId> {
+        g.compute_ids()
+            .into_iter()
+            .filter(|&i| g.node(i).label.starts_with(name))
+            .collect()
+    }
+
+    #[test]
+    fn whole_graph_schedule_is_clean() {
+        let g = chain();
+        let placed = placed_for(&g, &[&g.compute_ids()]);
+        let r = lint_schedule(&g, &placed);
+        assert!(!r.has_errors(), "{r}");
+    }
+
+    #[test]
+    fn uncovered_node_and_missing_output_are_d203_d204() {
+        let g = chain();
+        let placed = placed_for(&g, &[&layer(&g, "a")]);
+        let r = lint_schedule(&g, &placed);
+        assert!(r.contains(codes::PLAN_UNCOVERED), "{r}");
+        assert!(r.contains(codes::PLAN_MISSING_OUTPUT), "{r}");
+    }
+
+    #[test]
+    fn double_coverage_is_d202() {
+        let g = chain();
+        let ids = g.compute_ids();
+        let placed = placed_for(&g, &[&ids, &ids[..1]]);
+        assert!(lint_schedule(&g, &placed).contains(codes::PLAN_DOUBLY_COVERED));
+    }
+
+    #[test]
+    fn unknown_node_is_d200() {
+        let g = chain();
+        let mut placed = placed_for(&g, &[&g.compute_ids()]);
+        placed[0].sg.node_ids.push(g.len() + 7);
+        assert!(lint_schedule(&g, &placed).contains(codes::PLAN_UNKNOWN_NODE));
+    }
+
+    #[test]
+    fn covering_a_source_is_d201() {
+        let g = chain();
+        let mut placed = placed_for(&g, &[&g.compute_ids()]);
+        placed[0].sg.node_ids.push(g.input_ids()[0]);
+        assert!(lint_schedule(&g, &placed).contains(codes::PLAN_COVERS_SOURCE));
+    }
+
+    #[test]
+    fn mutually_feeding_subgraphs_are_d205() {
+        // {a, c} needs b's output and {b} needs a's: neither can start.
+        let g = chain();
+        let outer: Vec<NodeId> = [layer(&g, "a"), layer(&g, "c")].concat();
+        let placed = placed_for(&g, &[&outer, &layer(&g, "b")]);
+        assert!(lint_schedule(&g, &placed).contains(codes::PLAN_CYCLIC));
     }
 }

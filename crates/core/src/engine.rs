@@ -17,6 +17,7 @@
 //! heterogeneous executor), report its placement (Table II), and measure
 //! latency distributions (Fig. 11/12).
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -26,9 +27,7 @@ use duet_compiler::{
 };
 use duet_device::{DeviceKind, SystemModel};
 use duet_ir::{Graph, GraphError, NodeId};
-use duet_runtime::{
-    measure_latency, measure_stats, HeterogeneousExecutor, LatencyStats, Placed, Profiler,
-};
+use duet_runtime::{CompiledPlan, HeterogeneousExecutor, LatencyStats, Placed, Profiler};
 use duet_tensor::Tensor;
 
 use crate::partition::{partition, partition_per_operator, Partition, Phase};
@@ -201,67 +200,30 @@ impl DuetBuilder {
             Profiler::new(self.system.clone()).with_runs(self.profile_runs, self.profile_warmup);
         let profiles = profiler.profile_all(&graph, &subgraphs);
         let units = sched::make_units(&part, subgraphs, profiles);
-
-        let devices = sched::schedule(&graph, &units, &self.system, self.policy);
-        let hetero_placed = sched::to_placed(&units, &devices);
-        let hetero_latency = measure_latency(&graph, &hetero_placed, &self.system);
+        let plan = sched::unit_plan(&graph, &units, &self.system);
+        let devices =
+            sched::schedule_on(|| Cow::Borrowed(&plan), &units, &self.system, self.policy);
 
         // Single-device baselines use whole-graph compilation (maximum
         // fusion scope — the best the compiler can do on one device).
         let whole = compiler.compile_whole(&graph, graph.name.clone());
-        let single = |d: DeviceKind| -> (f64, Vec<Placed>) {
-            let placed = vec![Placed {
-                sg: whole.clone(),
-                device: d,
-            }];
-            (measure_latency(&graph, &placed, &self.system), placed)
-        };
-        let (cpu_only_us, cpu_placed) = single(DeviceKind::Cpu);
-        let (gpu_only_us, gpu_placed) = single(DeviceKind::Gpu);
-
-        let best_single = cpu_only_us.min(gpu_only_us);
-        let fallback =
-            if self.allow_fallback && hetero_latency > best_single * (1.0 - self.min_gain) {
-                Some(if cpu_only_us <= gpu_only_us {
-                    DeviceKind::Cpu
-                } else {
-                    DeviceKind::Gpu
-                })
-            } else {
-                None
-            };
-        let (placed, latency_us) = match fallback {
-            Some(DeviceKind::Cpu) => (cpu_placed, cpu_only_us),
-            Some(DeviceKind::Gpu) => (gpu_placed, gpu_only_us),
-            None => (hetero_placed, hetero_latency),
-        };
-
-        let batch = graph.leading_batch().unwrap_or(1);
-        let duet = Duet {
+        let duet = Parts {
+            batch: graph.leading_batch().unwrap_or(1),
+            whole_plan: CompiledPlan::new(&graph, [&whole], &self.system),
+            whole,
             graph,
             units,
             devices,
-            placed,
-            latency_us,
-            cpu_only_us,
-            gpu_only_us,
-            fallback,
+            plan,
             system: self.system,
-            whole,
             allow_fallback: self.allow_fallback,
             min_gain: self.min_gain,
-            batch,
             arenas: Arc::new(ArenaPool::new()),
-        };
+        }
+        .assemble(Fallback::Rule);
         // Checked builds prove the D5xx properties of the decision the
         // scheduler just made before handing it to anyone.
-        if self.compile_options.check {
-            let outcome = duet.check_plan(&ModelCheckConfig::default());
-            if outcome.report.has_errors() {
-                return Err(EngineError::ModelCheck(outcome.report));
-            }
-        }
-        Ok(duet)
+        model_check_gate(duet, self.compile_options.check)
     }
 
     /// Instantiate an engine from a previously exported [`SchedulePlan`],
@@ -308,51 +270,109 @@ impl DuetBuilder {
         let profiles = profiler.profile_all(&graph, &subgraphs);
         let units = sched::make_units(&part, subgraphs, profiles);
         let devices: Vec<DeviceKind> = plan.subgraphs.iter().map(|p| p.device).collect();
-        let hetero_placed = sched::to_placed(&units, &devices);
-        let hetero_latency = measure_latency(&graph, &hetero_placed, &self.system);
-
         let whole = compiler.compile_whole(&graph, graph.name.clone());
-        let single = |d: DeviceKind| -> (f64, Vec<Placed>) {
-            let placed = vec![Placed {
-                sg: whole.clone(),
-                device: d,
-            }];
-            (measure_latency(&graph, &placed, &self.system), placed)
-        };
-        let (cpu_only_us, cpu_placed) = single(DeviceKind::Cpu);
-        let (gpu_only_us, gpu_placed) = single(DeviceKind::Gpu);
-        let (placed, latency_us) = match plan.fallback {
-            Some(DeviceKind::Cpu) => (cpu_placed, cpu_only_us),
-            Some(DeviceKind::Gpu) => (gpu_placed, gpu_only_us),
-            None => (hetero_placed, hetero_latency),
-        };
-        let batch = plan.batch;
-        let duet = Duet {
+        let duet = Parts {
+            plan: sched::unit_plan(&graph, &units, &self.system),
+            whole_plan: CompiledPlan::new(&graph, [&whole], &self.system),
+            whole,
             graph,
             units,
             devices,
-            placed,
-            latency_us,
-            cpu_only_us,
-            gpu_only_us,
-            fallback: plan.fallback,
             system: self.system,
-            whole,
             allow_fallback: self.allow_fallback,
             min_gain: self.min_gain,
-            batch,
+            batch: plan.batch,
             arenas: Arc::new(ArenaPool::new()),
-        };
+        }
+        .assemble(Fallback::Recorded(plan.fallback));
         // A supplied plan is untrusted input: in checked builds, prove
         // its D5xx interleaving properties, not just its D2xx structure.
-        if self.compile_options.check {
-            let outcome = duet.check_plan(&ModelCheckConfig::default());
-            if outcome.report.has_errors() {
-                return Err(EngineError::ModelCheck(outcome.report));
-            }
-        }
-        Ok(duet)
+        model_check_gate(duet, self.compile_options.check)
     }
+}
+
+/// How [`Parts::assemble`] settles the single-device fallback.
+enum Fallback {
+    /// Keep the heterogeneous placement only if it beats the best single
+    /// device by `min_gain` (§VI-E).
+    Rule,
+    /// The decision a supplied plan recorded.
+    Recorded(Option<DeviceKind>),
+}
+
+/// Everything an engine holds that does not depend on the fallback
+/// decision.
+struct Parts {
+    graph: Graph,
+    system: SystemModel,
+    units: Vec<SubgraphUnit>,
+    devices: Vec<DeviceKind>,
+    plan: CompiledPlan,
+    whole: CompiledSubgraph,
+    whole_plan: CompiledPlan,
+    allow_fallback: bool,
+    min_gain: f64,
+    batch: usize,
+    arenas: Arc<ArenaPool>,
+}
+
+impl Parts {
+    /// Measure the heterogeneous placement and both single-device
+    /// baselines on their plans, settle the fallback, and assemble the
+    /// engine.
+    fn assemble(self, fallback: Fallback) -> Duet {
+        let hetero_latency = self.plan.makespan(&self.devices);
+        let single = |device| self.whole_plan.makespan(&[device]);
+        let best = if single(DeviceKind::Cpu) <= single(DeviceKind::Gpu) {
+            DeviceKind::Cpu
+        } else {
+            DeviceKind::Gpu
+        };
+        let fallback = match fallback {
+            Fallback::Recorded(device) => device,
+            Fallback::Rule => (self.allow_fallback
+                && hetero_latency > single(best) * (1.0 - self.min_gain))
+                .then_some(best),
+        };
+        let (placed, latency_us) = match fallback {
+            Some(device) => (
+                vec![Placed {
+                    sg: self.whole.clone(),
+                    device,
+                }],
+                single(device),
+            ),
+            None => (sched::to_placed(&self.units, &self.devices), hetero_latency),
+        };
+        Duet {
+            graph: self.graph,
+            units: self.units,
+            devices: self.devices,
+            plan: self.plan,
+            placed,
+            latency_us,
+            fallback,
+            system: self.system,
+            whole: self.whole,
+            whole_plan: self.whole_plan,
+            allow_fallback: self.allow_fallback,
+            min_gain: self.min_gain,
+            batch: self.batch,
+            arenas: self.arenas,
+        }
+    }
+}
+
+/// Checked-build D5xx gate: prove the engine's scheduling decision
+/// deadlock-, race- and overcommit-free before handing it to anyone.
+fn model_check_gate(duet: Duet, checked: bool) -> Result<Duet, EngineError> {
+    if checked {
+        let outcome = duet.check_plan(&ModelCheckConfig::default());
+        if outcome.report.has_errors() {
+            return Err(EngineError::ModelCheck(outcome.report));
+        }
+    }
+    Ok(duet)
 }
 
 /// Checked-build D6xx gate: after optimization, the dataflow analyzer
@@ -375,15 +395,19 @@ pub struct Duet {
     graph: Graph,
     units: Vec<SubgraphUnit>,
     devices: Vec<DeviceKind>,
+    /// Topology of `units`, priced on both devices under `system`: the
+    /// one plan Algorithm 1, the critical-path bound, `explain` and the
+    /// executor read.
+    plan: CompiledPlan,
     placed: Vec<Placed>,
     latency_us: f64,
-    cpu_only_us: f64,
-    gpu_only_us: f64,
     fallback: Option<DeviceKind>,
     system: SystemModel,
-    /// Whole-graph compilation kept for re-deriving single-device
-    /// baselines in [`Duet::recorrect`].
+    /// Whole-graph compilation: the single-device baselines and the
+    /// fallback placement.
     whole: CompiledSubgraph,
+    /// Plan of `[whole]` under `system`.
+    whole_plan: CompiledPlan,
     allow_fallback: bool,
     min_gain: f64,
     batch: usize,
@@ -441,10 +465,7 @@ impl Duet {
 
     /// Noise-free latency of single-device execution.
     pub fn single_device_latency_us(&self, device: DeviceKind) -> f64 {
-        match device {
-            DeviceKind::Cpu => self.cpu_only_us,
-            DeviceKind::Gpu => self.gpu_only_us,
-        }
+        self.whole_plan.makespan(&[device])
     }
 
     /// Execute one inference on the threaded heterogeneous engine.
@@ -452,16 +473,39 @@ impl Duet {
         &self,
         feeds: &HashMap<NodeId, Tensor>,
     ) -> Result<duet_runtime::executor::ExecutionOutcome, GraphError> {
-        self.executor_with(self.system.clone()).run(feeds)
+        self.executor().run(feeds)
     }
 
     /// Build a pooled executor over this engine's schedule under an
     /// arbitrary system model (duet-serve runs against the *deployed*
     /// model, which may drift from the one the plan was made with).
     /// Arenas come from the engine's shared pool, so steady-state
-    /// inference reuses slot buffers across requests.
+    /// inference reuses slot buffers across requests. Under the engine's
+    /// own system the executor borrows the engine's plan; any other
+    /// system prices each placed subgraph once.
     pub fn executor_with(&self, system: SystemModel) -> HeterogeneousExecutor<'_> {
+        if system == self.system {
+            return self.executor();
+        }
         HeterogeneousExecutor::new(&self.graph, &self.placed, system).with_arena_pool(&self.arenas)
+    }
+
+    fn executor(&self) -> HeterogeneousExecutor<'_> {
+        HeterogeneousExecutor::with_plan(&self.graph, &self.placed, self.active_plan())
+            .with_arena_pool(&self.arenas)
+    }
+
+    /// The plan of the active (fallback-resolved) placement.
+    pub(crate) fn active_plan(&self) -> &CompiledPlan {
+        match self.fallback {
+            Some(_) => &self.whole_plan,
+            None => &self.plan,
+        }
+    }
+
+    /// The device of each active (fallback-resolved) subgraph.
+    pub(crate) fn active_devices(&self) -> Vec<DeviceKind> {
+        self.placed.iter().map(|p| p.device).collect()
     }
 
     /// Arena-pool checkout statistics (created vs. reused).
@@ -484,13 +528,14 @@ impl Duet {
         ),
         GraphError,
     > {
-        self.executor_with(self.system.clone()).run_witnessed(feeds)
+        self.executor().run_witnessed(feeds)
     }
 
     /// Measure the latency distribution over repeated (noisy, seeded)
     /// simulated runs — the paper's 5000-run methodology.
     pub fn measure(&self, runs: usize, seed: u64) -> LatencyStats {
-        measure_stats(&self.graph, &self.placed, &self.system, runs, seed)
+        self.active_plan()
+            .latency_stats(&self.active_devices(), runs, seed)
     }
 
     /// Export the scheduling decision as a serializable plan (the
@@ -520,20 +565,20 @@ impl Duet {
 
     /// Critical-path lower bound on the makespan of *any* placement of
     /// this engine's subgraphs, microseconds (chain bound ∨ work bound;
-    /// see [`sched::critical_path_lower_bound_us`]). No device
+    /// see [`CompiledPlan::critical_path_lower_bound_us`]). No device
     /// assignment — tuned, corrected, or exhaustively enumerated — can
     /// simulate below this, which makes `latency_us() / bound` the
     /// engine's "how far from optimal" readout.
     pub fn critical_path_lower_bound_us(&self) -> f64 {
-        sched::critical_path_lower_bound_us(&self.units, &self.system)
+        self.plan.critical_path_lower_bound_us()
     }
 
     /// Re-place this engine's *already compiled and profiled* subgraphs
     /// onto an explicit device vector and return the resulting engine —
     /// the autotuner's promotion path. Everything expensive (graph
-    /// optimization, partitioning, lowering, profiling) is reused; only
-    /// the simulator and the single-device fallback decision re-run, so
-    /// instantiating a candidate costs one `measure_latency` call.
+    /// optimization, partitioning, lowering, profiling, pricing) is
+    /// reused; only the list scheduler and the single-device fallback
+    /// decision re-run on the engine's plans.
     ///
     /// The fallback rule is the same as [`DuetBuilder::build`]: if the
     /// proposed heterogeneous placement does not beat the best single
@@ -548,47 +593,21 @@ impl Duet {
             self.units.len(),
             "one device per scheduling unit"
         );
-        let hetero_placed = sched::to_placed(&self.units, &devices);
-        let hetero_latency = measure_latency(&self.graph, &hetero_placed, &self.system);
-        let best_single = self.cpu_only_us.min(self.gpu_only_us);
-        let fallback =
-            if self.allow_fallback && hetero_latency > best_single * (1.0 - self.min_gain) {
-                Some(if self.cpu_only_us <= self.gpu_only_us {
-                    DeviceKind::Cpu
-                } else {
-                    DeviceKind::Gpu
-                })
-            } else {
-                None
-            };
-        let single_placed = |d: DeviceKind| {
-            vec![Placed {
-                sg: self.whole.clone(),
-                device: d,
-            }]
-        };
-        let (placed, latency_us) = match fallback {
-            Some(DeviceKind::Cpu) => (single_placed(DeviceKind::Cpu), self.cpu_only_us),
-            Some(DeviceKind::Gpu) => (single_placed(DeviceKind::Gpu), self.gpu_only_us),
-            None => (hetero_placed, hetero_latency),
-        };
-        Duet {
+        Parts {
             graph: self.graph.clone(),
+            system: self.system.clone(),
             units: self.units.clone(),
             devices,
-            placed,
-            latency_us,
-            cpu_only_us: self.cpu_only_us,
-            gpu_only_us: self.gpu_only_us,
-            fallback,
-            system: self.system.clone(),
+            plan: self.plan.clone(),
             whole: self.whole.clone(),
+            whole_plan: self.whole_plan.clone(),
             allow_fallback: self.allow_fallback,
             min_gain: self.min_gain,
             batch: self.batch,
             // Same compiled tapes — candidates can share the pool.
             arenas: Arc::clone(&self.arenas),
         }
+        .assemble(Fallback::Rule)
     }
 
     /// Model-check this engine's scheduling decision (`D5xx`): explore
@@ -635,69 +654,34 @@ impl Duet {
     /// the correction sweep (seeded from the current placement) and the
     /// single-device fallback decision re-run under `system`.
     pub fn recorrect(&self, system: SystemModel) -> Duet {
-        let subgraphs: Vec<CompiledSubgraph> = self.units.iter().map(|u| u.sg.clone()).collect();
         // Re-profiling is pure cost-model evaluation (no noise source at
         // play beyond the seeded micro-benchmarks), so a short run count
         // keeps hot-swap cheap relative to the offline build.
-        let profiles = Profiler::new(system.clone())
-            .with_runs(100, 10)
-            .profile_all(&self.graph, &subgraphs);
+        let profiler = Profiler::new(system.clone()).with_runs(100, 10);
         let units: Vec<SubgraphUnit> = self
             .units
             .iter()
-            .zip(profiles)
-            .map(|(u, profile)| SubgraphUnit {
-                phase: u.phase,
-                kind: u.kind,
-                sg: u.sg.clone(),
-                profile,
+            .map(|u| SubgraphUnit {
+                profile: profiler.profile(&self.graph, &u.sg),
+                ..u.clone()
             })
             .collect();
-        let devices = sched::greedy::correct(&self.graph, &units, &system, self.devices.clone());
-        let hetero_placed = sched::to_placed(&units, &devices);
-        let hetero_latency = measure_latency(&self.graph, &hetero_placed, &system);
-
-        let single = |d: DeviceKind| -> (f64, Vec<Placed>) {
-            let placed = vec![Placed {
-                sg: self.whole.clone(),
-                device: d,
-            }];
-            (measure_latency(&self.graph, &placed, &system), placed)
-        };
-        let (cpu_only_us, cpu_placed) = single(DeviceKind::Cpu);
-        let (gpu_only_us, gpu_placed) = single(DeviceKind::Gpu);
-        let best_single = cpu_only_us.min(gpu_only_us);
-        let fallback =
-            if self.allow_fallback && hetero_latency > best_single * (1.0 - self.min_gain) {
-                Some(if cpu_only_us <= gpu_only_us {
-                    DeviceKind::Cpu
-                } else {
-                    DeviceKind::Gpu
-                })
-            } else {
-                None
-            };
-        let (placed, latency_us) = match fallback {
-            Some(DeviceKind::Cpu) => (cpu_placed, cpu_only_us),
-            Some(DeviceKind::Gpu) => (gpu_placed, gpu_only_us),
-            None => (hetero_placed, hetero_latency),
-        };
-        Duet {
+        let plan = sched::unit_plan(&self.graph, &units, &system);
+        let devices = sched::greedy::correct_on(&plan, &units, self.devices.clone());
+        Parts {
             graph: self.graph.clone(),
+            whole: self.whole.clone(),
+            whole_plan: CompiledPlan::new(&self.graph, [&self.whole], &system),
+            system,
             units,
             devices,
-            placed,
-            latency_us,
-            cpu_only_us,
-            gpu_only_us,
-            fallback,
-            system,
-            whole: self.whole.clone(),
+            plan,
             allow_fallback: self.allow_fallback,
             min_gain: self.min_gain,
             batch: self.batch,
             arenas: Arc::new(ArenaPool::new()),
         }
+        .assemble(Fallback::Rule)
     }
 
     /// The Table II report: per-subgraph profiled costs and placements.
@@ -724,8 +708,8 @@ impl Duet {
             model: self.graph.name.clone(),
             subgraphs,
             latency_us: self.latency_us,
-            cpu_only_us: self.cpu_only_us,
-            gpu_only_us: self.gpu_only_us,
+            cpu_only_us: self.single_device_latency_us(DeviceKind::Cpu),
+            gpu_only_us: self.single_device_latency_us(DeviceKind::Gpu),
             fallback: self.fallback,
             critical_path_lb_us: self.critical_path_lower_bound_us(),
         }

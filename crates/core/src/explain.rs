@@ -8,7 +8,6 @@
 //! instead of re-deriving Algorithm 1 by hand.
 
 use duet_device::DeviceKind;
-use duet_runtime::measure_latency;
 
 use crate::engine::Duet;
 
@@ -51,28 +50,26 @@ pub struct Explanation {
 }
 
 /// Explain every placement of a built engine by measuring single-flip
-/// counterfactuals (the same oracle the correction loop used).
+/// counterfactuals on the engine's plan (the same oracle the correction
+/// loop used).
 pub fn explain(duet: &Duet) -> Explanation {
     let graph = duet.graph();
-    let system = duet.system();
-    let base = duet.placed().to_vec();
-    let latency_us = measure_latency(graph, &base, system);
-    let rationales = base
+    let plan = duet.active_plan();
+    let devices = duet.active_devices();
+    let latency_us = plan.makespan(&devices);
+    let rationales = duet
+        .placed()
         .iter()
         .enumerate()
         .map(|(i, p)| {
-            let mut flipped = base.clone();
-            flipped[i].device = p.device.other();
-            let flipped_latency_us = measure_latency(graph, &flipped, system);
-            // Profile times come from the cost model directly.
-            let chosen_us = duet_runtime::subgraph_exec_time_us(system, p.device, &p.sg);
-            let other_us = duet_runtime::subgraph_exec_time_us(system, p.device.other(), &p.sg);
+            let mut flipped = devices.clone();
+            flipped[i] = p.device.other();
             PlacementRationale {
                 name: p.sg.name.clone(),
                 device: p.device,
-                chosen_us,
-                other_us,
-                flipped_latency_us,
+                chosen_us: plan.exec_time_us(i, p.device),
+                other_us: plan.exec_time_us(i, p.device.other()),
+                flipped_latency_us: plan.makespan(&flipped),
                 boundary_bytes: p.sg.input_bytes(graph) + p.sg.output_bytes(graph),
             }
         })

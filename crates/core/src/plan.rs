@@ -55,7 +55,7 @@ pub struct SchedulePlan {
     /// The latency the scheduler measured when the plan was made, us.
     pub expected_latency_us: f64,
     /// Critical-path lower bound on any placement's makespan, us (chain
-    /// bound ∨ work bound — `sched::critical_path_lower_bound_us`).
+    /// bound ∨ work bound — `CompiledPlan::critical_path_lower_bound_us`).
     /// Feeds the `D215` optimality-gap lint; plans exported before this
     /// field existed deserialize as `None` and skip the lint.
     #[serde(default)]

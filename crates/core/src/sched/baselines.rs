@@ -5,9 +5,9 @@ use duet_ir::Graph;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use duet_runtime::{LatencyStats, SubgraphProfile};
+use duet_runtime::{CompiledPlan, LatencyStats, SubgraphProfile};
 
-use super::{greedy, placement_latency, SubgraphUnit};
+use super::{greedy, unit_plan, SubgraphUnit};
 
 /// Random device per subgraph, seeded.
 pub fn random(units: &[SubgraphUnit], seed: u64) -> Vec<DeviceKind> {
@@ -73,7 +73,12 @@ pub fn flops_proxy(units: &[SubgraphUnit], system: &SystemModel) -> Vec<DeviceKi
 /// # Panics
 /// Panics above 20 subgraphs (2^20 simulations is the sensible limit).
 pub fn ideal(graph: &Graph, units: &[SubgraphUnit], system: &SystemModel) -> Vec<DeviceKind> {
-    let n = units.len();
+    ideal_on(&unit_plan(graph, units, system))
+}
+
+/// [`ideal`] over every placement of `plan`'s subgraphs.
+pub(crate) fn ideal_on(plan: &CompiledPlan) -> Vec<DeviceKind> {
+    let n = plan.len();
     assert!(n <= 20, "ideal enumeration infeasible for {n} subgraphs");
     let mut best: Option<(f64, Vec<DeviceKind>)> = None;
     for mask in 0u32..(1 << n) {
@@ -86,7 +91,7 @@ pub fn ideal(graph: &Graph, units: &[SubgraphUnit], system: &SystemModel) -> Vec
                 }
             })
             .collect();
-        let t = placement_latency(graph, units, system, &devices);
+        let t = plan.makespan(&devices);
         if best.as_ref().map(|(b, _)| t < *b).unwrap_or(true) {
             best = Some((t, devices));
         }
@@ -98,7 +103,7 @@ pub fn ideal(graph: &Graph, units: &[SubgraphUnit], system: &SystemModel) -> Vec
 mod tests {
     use super::*;
     use crate::partition::partition;
-    use crate::sched::make_units;
+    use crate::sched::{make_units, placement_latency};
     use duet_compiler::Compiler;
     use duet_models::{siamese, SiameseConfig};
     use duet_runtime::Profiler;

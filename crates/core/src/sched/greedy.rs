@@ -2,9 +2,10 @@
 
 use duet_device::{DeviceKind, SystemModel};
 use duet_ir::Graph;
+use duet_runtime::CompiledPlan;
 use duet_telemetry::SpanKind;
 
-use super::{placement_latency, SubgraphUnit};
+use super::{unit_plan, SubgraphUnit};
 use crate::partition::PhaseKind;
 
 /// Relative improvement below which a correction move is considered noise.
@@ -102,13 +103,23 @@ pub fn correct(
     graph: &Graph,
     units: &[SubgraphUnit],
     system: &SystemModel,
+    devices: Vec<DeviceKind>,
+) -> Vec<DeviceKind> {
+    correct_on(&unit_plan(graph, units, system), units, devices)
+}
+
+/// [`correct`] measuring every candidate move on `plan`, a plan of
+/// `units`.
+pub(crate) fn correct_on(
+    plan: &CompiledPlan,
+    units: &[SubgraphUnit],
     mut devices: Vec<DeviceKind>,
 ) -> Vec<DeviceKind> {
     use duet_telemetry::registry as tm;
     let correction_start = duet_telemetry::clock_us();
     tm::SCHED_CORRECTIONS.inc();
     let mut rounds_total = 0u64;
-    let mut t_old = placement_latency(graph, units, system, &devices);
+    let mut t_old = plan.makespan(&devices);
     let t_initial = t_old;
     let phases: Vec<usize> = {
         let mut p: Vec<usize> = units.iter().map(|u| u.phase).collect();
@@ -155,7 +166,7 @@ pub fn correct(
                 for &i in &mv {
                     devices[i] = devices[i].other();
                 }
-                let t_new = placement_latency(graph, units, system, &devices);
+                let t_new = plan.makespan(&devices);
                 for &i in &mv {
                     devices[i] = devices[i].other();
                 }
@@ -210,7 +221,7 @@ pub fn correct(
         let mut best: Option<(f64, usize)> = None;
         for i in 0..units.len() {
             devices[i] = devices[i].other();
-            let t_new = placement_latency(graph, units, system, &devices);
+            let t_new = plan.makespan(&devices);
             devices[i] = devices[i].other();
             tm::SCHED_MOVES_EVALUATED.inc();
             let margin = t_old * (1.0 - EPS) - t_new;

@@ -13,18 +13,22 @@
 //! 3. **Correction** — Kernighan-Lin-style refinement: repeatedly apply
 //!    the single move or pairwise swap (within one multi-path phase) that
 //!    most reduces *measured end-to-end latency*, until no move improves.
-//!    Measurement is the virtual-clock simulator, which prices the
-//!    CPU↔GPU communication the greedy step ignored — the paper refines
-//!    on measured latency precisely because analytic communication
-//!    estimates are unreliable (§IV-C).
+//!    Measurement is the list-scheduling core of one
+//!    [`CompiledPlan`] of the units, built once per correction and
+//!    replayed per candidate move; it prices the CPU↔GPU communication
+//!    the greedy step ignored — the paper refines on measured latency
+//!    precisely because analytic communication estimates are unreliable
+//!    (§IV-C).
 
 pub mod baselines;
 pub mod greedy;
 
+use std::borrow::Cow;
+
 use duet_compiler::CompiledSubgraph;
 use duet_device::{DeviceKind, SystemModel};
 use duet_ir::Graph;
-use duet_runtime::{measure_latency, Placed, SubgraphProfile};
+use duet_runtime::{CompiledPlan, Placed, SubgraphProfile};
 
 use crate::partition::PhaseKind;
 
@@ -71,22 +75,48 @@ pub fn schedule(
     system: &SystemModel,
     policy: SchedulePolicy,
 ) -> Vec<DeviceKind> {
+    schedule_on(
+        || Cow::Owned(unit_plan(graph, units, system)),
+        units,
+        system,
+        policy,
+    )
+}
+
+/// [`schedule`] against the plan `plan()` yields, asked for only by the
+/// policies that measure latency.
+pub(crate) fn schedule_on<'p>(
+    plan: impl FnOnce() -> Cow<'p, CompiledPlan>,
+    units: &[SubgraphUnit],
+    system: &SystemModel,
+    policy: SchedulePolicy,
+) -> Vec<DeviceKind> {
     match policy {
         SchedulePolicy::GreedyCorrection => {
             let init = greedy::greedy_placement(units);
-            greedy::correct(graph, units, system, init)
+            greedy::correct_on(&plan(), units, init)
         }
         SchedulePolicy::GreedyOnly => greedy::greedy_placement(units),
         SchedulePolicy::Random { seed } => baselines::random(units, seed),
         SchedulePolicy::RoundRobin => baselines::round_robin(units),
         SchedulePolicy::RandomCorrection { seed } => {
             let init = baselines::random(units, seed);
-            greedy::correct(graph, units, system, init)
+            greedy::correct_on(&plan(), units, init)
         }
-        SchedulePolicy::Ideal => baselines::ideal(graph, units, system),
+        SchedulePolicy::Ideal => baselines::ideal_on(&plan()),
         SchedulePolicy::FlopsProxy => baselines::flops_proxy(units, system),
         SchedulePolicy::Pin(d) => vec![d; units.len()],
     }
+}
+
+/// The plan of `units`: their topology, priced on both devices under
+/// `system`.
+pub(crate) fn unit_plan(
+    graph: &Graph,
+    units: &[SubgraphUnit],
+    system: &SystemModel,
+) -> CompiledPlan {
+    CompiledPlan::new(graph, units.iter().map(|u| &u.sg), system)
 }
 
 /// Turn units + devices into the simulator/executor's `Placed` list.
@@ -101,82 +131,16 @@ pub fn to_placed(units: &[SubgraphUnit], devices: &[DeviceKind]) -> Vec<Placed> 
         .collect()
 }
 
-/// Noise-free end-to-end latency of a placement.
+/// Noise-free end-to-end latency of one placement, pricing each unit on
+/// its placed device only. Measuring many placements of the same units
+/// is cheaper on one [`unit_plan`].
 pub fn placement_latency(
     graph: &Graph,
     units: &[SubgraphUnit],
     system: &SystemModel,
     devices: &[DeviceKind],
 ) -> f64 {
-    measure_latency(graph, &to_placed(units, devices), system)
-}
-
-/// Critical-path lower bound on the makespan of *any* placement of
-/// `units`, microseconds.
-///
-/// Two classic bounds, both sound for a two-device system, combined by
-/// `max`:
-///
-/// * **chain bound** — the longest dependency chain through the subgraph
-///   DAG with every subgraph priced at its *faster* device and all
-///   transfers ignored (no placement can beat the best device on a
-///   serial chain);
-/// * **work bound** — total best-device work divided by the system's
-///   total lane capacity (two on the paper's one-lane-per-device
-///   server): even perfect overlap cannot finish faster than the work
-///   spread evenly, and lane sharing only *slows* lanes down
-///   (`lane_penalty >= 1`), so capacity is an over-estimate and the
-///   bound stays sound.
-///
-/// No placement simulated by `measure_latency` can undercut this, which
-/// makes `simulated / bound` a principled "how far from optimal" readout
-/// (reported in the placement report, linted as `D215` past 2×) and a
-/// stopping signal for schedule search.
-pub fn critical_path_lower_bound_us(units: &[SubgraphUnit], system: &SystemModel) -> f64 {
-    use std::collections::HashMap;
-    let n = units.len();
-    let best: Vec<f64> = units
-        .iter()
-        .map(|u| {
-            let sg = &u.sg;
-            duet_runtime::subgraph_exec_time_us(system, DeviceKind::Cpu, sg).min(
-                duet_runtime::subgraph_exec_time_us(system, DeviceKind::Gpu, sg),
-            )
-        })
-        .collect();
-    let mut producer: HashMap<duet_ir::NodeId, usize> = HashMap::new();
-    for (i, u) in units.iter().enumerate() {
-        for &id in &u.sg.node_ids {
-            producer.insert(id, i);
-        }
-    }
-    // Longest chain ending at each subgraph. `units` is not guaranteed
-    // topologically ordered, so iterate to a fixpoint over the DAG
-    // (depth bounded by n).
-    let mut chain = best.clone();
-    for _ in 0..n {
-        let mut changed = false;
-        for (i, u) in units.iter().enumerate() {
-            let longest_dep =
-                u.sg.inputs
-                    .iter()
-                    .filter_map(|src| producer.get(src))
-                    .map(|&p| chain[p])
-                    .fold(0.0f64, f64::max);
-            let c = best[i] + longest_dep;
-            if c > chain[i] {
-                chain[i] = c;
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    let chain_bound = chain.iter().copied().fold(0.0f64, f64::max);
-    let capacity = (system.cpu.lanes.max(1) + system.gpu.lanes.max(1)) as f64;
-    let work_bound = best.iter().sum::<f64>() / capacity;
-    chain_bound.max(work_bound)
+    CompiledPlan::for_devices(graph, units.iter().map(|u| &u.sg), devices, system).makespan(devices)
 }
 
 /// Build scheduling units from a compiled partition and its profiles.

@@ -4,10 +4,11 @@
 //! decision must never lose to the best single device by more than the
 //! fallback guarantee allows.
 
+use duet_analysis::lint_schedule;
 use duet_core::{partition, partition_per_operator, sched, Duet, SchedulePolicy};
 use duet_device::{DeviceKind, SystemModel};
 use duet_ir::{Graph, GraphBuilder, NodeId, Op};
-use duet_runtime::{validate_schedule, Profiler};
+use duet_runtime::Profiler;
 use proptest::prelude::*;
 
 /// A fan-out model with `branches` parallel dense towers of varying
@@ -74,7 +75,8 @@ proptest! {
             let devices = sched::schedule(&g, &units, &sys, policy);
             prop_assert_eq!(devices.len(), units.len());
             let placed = sched::to_placed(&units, &devices);
-            prop_assert_eq!(validate_schedule(&g, &placed), Ok(()));
+            let lint = lint_schedule(&g, &placed);
+            prop_assert!(!lint.has_errors(), "{}", lint);
         }
     }
 

@@ -7,7 +7,7 @@ use serde::{Deserialize, Serialize};
 /// The paper's Fig. 5 micro-benchmark (CUDA point-to-point bulk transfer on
 /// PCIe 3.0) shows latency increasing almost linearly with message size;
 /// that is exactly `time = base_latency + bytes / bandwidth`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TransferModel {
     /// Fixed per-transfer cost (driver + DMA setup), microseconds.
     pub latency_us: f64,

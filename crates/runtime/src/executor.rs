@@ -22,6 +22,7 @@
 //! perturbing the real thread interleaving without changing what a
 //! correct run may produce.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
@@ -29,15 +30,15 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{unbounded, Sender};
 use duet_compiler::ArenaPool;
 use duet_device::{DeviceKind, SystemModel};
-use duet_ir::{Graph, GraphError, NodeId, Op};
+use duet_ir::{Graph, GraphError, NodeId};
 use duet_tensor::Tensor;
 use parking_lot::Mutex;
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 
+use crate::candidate::{devices_of, CompiledPlan};
 use crate::sim::Placed;
 use crate::witness::{
-    DelayInjection, ExecutionWitness, TransferKind, TriggerEdge, WitnessEvent, WitnessRecorder,
-    WitnessSource,
+    DelayInjection, ExecutionWitness, WitnessEvent, WitnessRecorder, WitnessSource,
 };
 
 /// Virtual-time decomposition of one run: where the modeled hardware
@@ -96,7 +97,10 @@ enum Msg {
 pub struct HeterogeneousExecutor<'g> {
     graph: &'g Graph,
     placed: &'g [Placed],
-    system: SystemModel,
+    /// Topology and prices of `placed`, derived once per executor (or
+    /// borrowed from the engine that owns them), never per run.
+    plan: Cow<'g, CompiledPlan>,
+    devices: Vec<DeviceKind>,
     delays: Option<DelayInjection>,
     pool: Option<&'g ArenaPool>,
     trace: Option<duet_telemetry::TraceContext>,
@@ -106,14 +110,35 @@ pub struct HeterogeneousExecutor<'g> {
 pub const DEVICE_WORKERS: usize = 2;
 
 impl<'g> HeterogeneousExecutor<'g> {
-    /// Create an executor over a placed schedule.
+    /// Create an executor over a placed schedule, pricing each subgraph
+    /// once on its placed device under `system`.
     ///
     /// Also pins the global kernel pool the first time any executor is
     /// built: intra-op data parallelism gets `available_parallelism() -
     /// DEVICE_WORKERS` threads (floored at 1), so kernel lanes and the two
     /// device workers together never oversubscribe the machine. The pool
     /// is process-wide and sized once — concurrent executors share it.
+    ///
+    /// Panics with "schedule does not cover producer of node N" when
+    /// `placed` leaves a boundary producer uncovered.
     pub fn new(graph: &'g Graph, placed: &'g [Placed], system: SystemModel) -> Self {
+        let plan = CompiledPlan::for_placed(graph, placed, &system);
+        Self::over(graph, placed, Cow::Owned(plan))
+    }
+
+    /// Create an executor that borrows an existing plan of `placed`
+    /// (priced at least on each subgraph's placed device) instead of
+    /// deriving one.
+    pub fn with_plan(graph: &'g Graph, placed: &'g [Placed], plan: &'g CompiledPlan) -> Self {
+        Self::over(graph, placed, Cow::Borrowed(plan))
+    }
+
+    fn over(graph: &'g Graph, placed: &'g [Placed], plan: Cow<'g, CompiledPlan>) -> Self {
+        assert_eq!(
+            plan.len(),
+            placed.len(),
+            "one planned subgraph per placement"
+        );
         let hw = std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)
             .unwrap_or(1);
@@ -121,7 +146,8 @@ impl<'g> HeterogeneousExecutor<'g> {
         HeterogeneousExecutor {
             graph,
             placed,
-            system,
+            devices: devices_of(placed),
+            plan,
             delays: None,
             pool: None,
             trace: None,
@@ -204,30 +230,11 @@ impl<'g> HeterogeneousExecutor<'g> {
     ) -> Result<ExecutionOutcome, GraphError> {
         let n = self.placed.len();
         let wall_start = Instant::now();
-
-        // node -> producing subgraph.
-        let mut producer: HashMap<NodeId, usize> = HashMap::new();
-        for (i, p) in self.placed.iter().enumerate() {
-            for &id in &p.sg.node_ids {
-                producer.insert(id, i);
-            }
-        }
-        // Subgraph-level dependency edges.
-        let mut deps: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut consumers: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (i, p) in self.placed.iter().enumerate() {
-            for &src in &p.sg.inputs {
-                if matches!(self.graph.node(src).op, Op::Input) {
-                    continue;
-                }
-                let pidx = *producer.get(&src).ok_or(GraphError::MissingFeed(src))?;
-                if !deps[i].contains(&pidx) {
-                    deps[i].push(pidx);
-                    consumers[pidx].push(i);
-                }
-            }
-        }
-        let pending: Vec<AtomicUsize> = deps.iter().map(|d| AtomicUsize::new(d.len())).collect();
+        let plan = &*self.plan;
+        let devices = &self.devices;
+        let pending: Vec<AtomicUsize> = (0..n)
+            .map(|i| AtomicUsize::new(plan.deps(i).len()))
+            .collect();
 
         // Shared state. The store holds only cross-subgraph intermediates;
         // feeds are immutable for the whole run and are read lock-free
@@ -256,11 +263,9 @@ impl<'g> HeterogeneousExecutor<'g> {
         };
 
         // Seed the queues with dependency-free subgraphs.
-        for (i, d) in deps.iter().enumerate() {
-            if d.is_empty() {
-                queue(self.placed[i].device)
-                    .send(Msg::Run(i))
-                    .expect("queue open");
+        for (i, &device) in devices.iter().enumerate() {
+            if plan.deps(i).is_empty() {
+                queue(device).send(Msg::Run(i)).expect("queue open");
             }
         }
 
@@ -271,8 +276,6 @@ impl<'g> HeterogeneousExecutor<'g> {
                 let error = &error;
                 let done = &done;
                 let pending = &pending;
-                let consumers = &consumers;
-                let deps = &deps;
                 let task_counts = &task_counts;
                 let busy_us = &busy_us;
                 let transfer_total_us = &transfer_total_us;
@@ -299,69 +302,14 @@ impl<'g> HeterogeneousExecutor<'g> {
                         }
                         let placed = &self.placed[i];
                         // Virtual readiness: producers' finish + transfers.
-                        let mut ready = 0.0f64;
-                        let mut triggers: Vec<TriggerEdge> = Vec::new();
-                        let mut transfers: Vec<WitnessEvent> = Vec::new();
-                        for &src in &placed.sg.inputs {
-                            let bytes = self.graph.node(src).shape.byte_size() as f64;
-                            let (producer_idx, mut t, xfer) =
-                                if matches!(self.graph.node(src).op, Op::Input) {
-                                    let xfer = if device == DeviceKind::Gpu {
-                                        self.system.transfer_time_us(bytes)
-                                    } else {
-                                        0.0
-                                    };
-                                    (None, 0.0, xfer)
-                                } else {
-                                    let p = deps[i]
-                                        .iter()
-                                        .copied()
-                                        .find(|&p| self.placed[p].sg.node_ids.contains(&src))
-                                        .expect("dep registered");
-                                    let t = *finish_us[p].lock();
-                                    let xfer = if self.placed[p].device != device {
-                                        self.system.transfer_time_us(bytes)
-                                    } else {
-                                        0.0
-                                    };
-                                    (Some(p), t, xfer)
-                                };
-                            t += xfer;
-                            ready = ready.max(t);
-                            local_xfer += xfer;
-                            if recorder.is_some() {
-                                triggers.push(TriggerEdge {
-                                    node: src,
-                                    producer: producer_idx,
-                                    bytes,
-                                    transfer_us: xfer,
-                                });
-                                if xfer > 0.0 {
-                                    transfers.push(WitnessEvent::Transfer {
-                                        node: src,
-                                        kind: match producer_idx {
-                                            None => TransferKind::HostToDevice,
-                                            Some(_) => TransferKind::DeviceToDevice,
-                                        },
-                                        bytes,
-                                        time_us: xfer,
-                                        consumer: Some(i),
-                                    });
-                                }
-                            }
+                        let ready = plan.ready_us(i, devices, |p| *finish_us[p].lock());
+                        for e in plan.edges(i) {
+                            local_xfer += e.transfer_us_into(device, devices);
                         }
                         let start = ready.max(device_time);
-                        let exec =
-                            crate::sim::subgraph_exec_time_us(&self.system, device, &placed.sg);
+                        let exec = plan.exec_time_us(i, device);
                         if let Some(rec) = recorder {
-                            transfers.push(WitnessEvent::Start {
-                                sg: i,
-                                name: placed.sg.name.clone(),
-                                device,
-                                at_us: start,
-                                triggers,
-                            });
-                            rec.record_all(transfers);
+                            rec.record_all(plan.start_events(i, devices, &placed.sg.name, start));
                         }
 
                         // Real numerics on the host. Only the values this
@@ -494,9 +442,9 @@ impl<'g> HeterogeneousExecutor<'g> {
                         }
 
                         // Trigger consumers whose last dependency this was.
-                        for &c in &consumers[i] {
+                        for &c in plan.consumers(i) {
                             if pending[c].fetch_sub(1, Ordering::AcqRel) == 1 {
-                                let tx = match self.placed[c].device {
+                                let tx = match devices[c] {
                                     DeviceKind::Cpu => &cpu_tx,
                                     DeviceKind::Gpu => &gpu_tx,
                                 };
@@ -522,31 +470,22 @@ impl<'g> HeterogeneousExecutor<'g> {
         let values = values.into_inner();
         let mut outputs = HashMap::new();
         let mut latency = 0.0f64;
-        for &out in self.graph.outputs() {
-            let p = producer[&out];
-            let mut t = *finish_us[p].lock();
-            if self.placed[p].device == DeviceKind::Gpu {
-                let bytes = self.graph.node(out).shape.byte_size() as f64;
-                let xfer = self.system.transfer_time_us(bytes);
-                t += xfer;
-                *transfer_total_us.lock() += xfer;
+        for out in plan.outputs() {
+            let mut t = *finish_us[out.producer].lock();
+            if devices[out.producer] == DeviceKind::Gpu {
+                t += out.d2h_us;
+                *transfer_total_us.lock() += out.d2h_us;
                 if let Some(rec) = recorder {
-                    rec.record(WitnessEvent::Transfer {
-                        node: out,
-                        kind: TransferKind::DeviceToHost,
-                        bytes,
-                        time_us: xfer,
-                        consumer: None,
-                    });
+                    rec.record(out.d2h_event());
                 }
             }
             latency = latency.max(t);
             if numerics {
                 let v = values
-                    .get(&out)
+                    .get(&out.node)
                     .cloned()
-                    .ok_or(GraphError::MissingFeed(out))?;
-                outputs.insert(out, v);
+                    .ok_or(GraphError::MissingFeed(out.node))?;
+                outputs.insert(out.node, v);
             }
         }
         duet_telemetry::registry::EXEC_RUNS.inc();
@@ -612,8 +551,9 @@ impl<'g> HeterogeneousExecutor<'g> {
 mod tests {
     use super::*;
     use crate::measure::measure_latency;
+    use crate::witness::TransferKind;
     use duet_compiler::Compiler;
-    use duet_ir::GraphBuilder;
+    use duet_ir::{GraphBuilder, Op};
     use duet_models::{input_feeds, siamese, SiameseConfig};
 
     fn branchy() -> Graph {
@@ -759,6 +699,22 @@ mod tests {
         let exec = HeterogeneousExecutor::new(&g, &placed, SystemModel::paper_server());
         let res = exec.run(&HashMap::new());
         assert!(res.is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "schedule does not cover producer of node")]
+    fn uncovered_producer_is_a_coverage_panic_not_a_missing_feed() {
+        let g = branchy();
+        let sgs = split(&g, &["left", "right"]);
+        let placed: Vec<Placed> = sgs
+            .into_iter()
+            .skip(1)
+            .map(|sg| Placed {
+                sg,
+                device: DeviceKind::Cpu,
+            })
+            .collect();
+        HeterogeneousExecutor::new(&g, &placed, SystemModel::paper_server());
     }
 
     /// Two independent branches from two separate inputs; only one input

@@ -7,13 +7,22 @@
 //!   subgraph is treated as a standalone model and "run" on both device
 //!   models for a fixed number of runs, recording execution time and I/O
 //!   sizes.
-//! * [`simulate`] — a deterministic virtual-clock simulator of a placed
-//!   schedule (per-device serialization, cross-device transfer latency,
-//!   optional noise). All evaluation figures are produced with it, and the
-//!   scheduler's correction loop uses it as its `measure_latency`.
+//! * [`CompiledPlan`] — a schedule's topology and prices, derived once
+//!   per (graph, subgraphs, system): boundary edges with producers and
+//!   transfer times, producer/consumer lists, graph outputs, and a
+//!   per-(subgraph, device) execution-cost table. Its
+//!   [`CompiledPlan::makespan`] is the one list-scheduling core
+//!   (per-device serialization, cross-device transfer latency); the
+//!   scheduler's correction loop, the tuner's oracle ([`CandidateSim`])
+//!   and [`measure_latency`] all evaluate placements with it.
+//! * [`simulate`] — the same core with two hooks attached: seeded noise
+//!   sampling and timeline/witness emission. All evaluation figures are
+//!   produced with it.
 //! * [`HeterogeneousExecutor`] — the engine of §IV-D: one worker thread
 //!   per device polling its own synchronization queue, dependency-
-//!   triggered subgraph execution, real tensor numerics.
+//!   triggered subgraph execution, real tensor numerics. It dispatches
+//!   from a plan built once per executor (or borrowed from the engine),
+//!   never re-derived per run.
 //! * [`LatencyStats`] — mean and percentile statistics over repeated runs
 //!   (the paper reports P50/P99/P99.9 over 5000 runs).
 //! * [`ExecutionWitness`] — an ordered event log both engines can emit
@@ -30,10 +39,9 @@ pub mod serving;
 pub mod sim;
 pub mod stats;
 pub mod trace;
-pub mod validate;
 pub mod witness;
 
-pub use candidate::CandidateSim;
+pub use candidate::{CandidateSim, CompiledPlan};
 pub use executor::{ExecBreakdown, ExecutionOutcome, HeterogeneousExecutor};
 pub use measure::{measure_latency, measure_stats};
 pub use profile::{Profiler, SubgraphProfile};
@@ -44,7 +52,6 @@ pub use sim::{
 };
 pub use stats::LatencyStats;
 pub use trace::{merged_perfetto_trace, to_chrome_trace, witness_to_chrome_trace};
-pub use validate::{validate_schedule, ScheduleError};
 pub use witness::{
     DelayInjection, ExecutionWitness, TransferKind, TriggerEdge, WitnessEvent, WitnessRecorder,
     WitnessSource,

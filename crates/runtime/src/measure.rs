@@ -1,15 +1,18 @@
-//! Latency measurement harnesses over the simulator.
+//! Latency measurement harnesses over the plan's list-scheduling core.
 
-use duet_device::SystemModel;
+use duet_device::{DeviceKind, SystemModel};
 use duet_ir::Graph;
 
-use crate::sim::{simulate, Placed, SimNoise};
+use crate::candidate::{devices_of, CompiledPlan};
+use crate::sim::{Placed, SimNoise};
 use crate::stats::LatencyStats;
 
 /// Noise-free end-to-end latency of a placed schedule, microseconds.
-/// This is the `measure_latency` oracle of Algorithm 1.
+/// This is the `measure_latency` oracle of Algorithm 1. It prices each
+/// subgraph on its placed device only; callers measuring many placements
+/// of the same subgraphs should build one [`CompiledPlan`] instead.
 pub fn measure_latency(graph: &Graph, placed: &[Placed], system: &SystemModel) -> f64 {
-    simulate(graph, placed, system, &mut SimNoise::disabled()).latency_us
+    CompiledPlan::for_placed(graph, placed, system).makespan(&devices_of(placed))
 }
 
 /// Repeated noisy measurement, as the paper's 5000-run evaluation does
@@ -23,19 +26,27 @@ pub fn measure_stats(
     runs: usize,
     seed: u64,
 ) -> LatencyStats {
-    assert!(runs >= 50, "need enough runs for tail percentiles");
-    let warmup = runs / 50;
-    let mut noise = SimNoise::seeded(seed);
-    let samples: Vec<f64> = (0..runs)
-        .map(|_| simulate(graph, placed, system, &mut noise).latency_us)
-        .skip(warmup)
-        .collect();
-    LatencyStats::from_samples(samples)
+    CompiledPlan::for_placed(graph, placed, system).latency_stats(&devices_of(placed), runs, seed)
+}
+
+impl CompiledPlan {
+    /// [`measure_stats`] of one placement of this plan.
+    pub fn latency_stats(&self, devices: &[DeviceKind], runs: usize, seed: u64) -> LatencyStats {
+        assert!(runs >= 50, "need enough runs for tail percentiles");
+        let warmup = runs / 50;
+        let mut noise = SimNoise::seeded(seed);
+        let samples: Vec<f64> = (0..runs)
+            .map(|_| self.sample(devices, &mut noise))
+            .skip(warmup)
+            .collect();
+        LatencyStats::from_samples(samples)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sim::simulate;
     use duet_compiler::Compiler;
     use duet_device::DeviceKind;
     use duet_models::{mlp, MlpConfig};

@@ -20,7 +20,8 @@ use duet_ir::Graph;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::sim::{simulate, Placed, SimNoise};
+use crate::candidate::{devices_of, CompiledPlan};
+use crate::sim::{Placed, SimNoise};
 use crate::stats::LatencyStats;
 
 /// Serving workload description.
@@ -68,6 +69,8 @@ pub fn simulate_serving(
     assert!(cfg.requests > 0, "need at least one request");
     let mut rng = SmallRng::seed_from_u64(cfg.seed);
     let mut noise = SimNoise::seeded(cfg.seed ^ 0x5eef);
+    let plan = CompiledPlan::for_placed(graph, placed, system);
+    let devices = devices_of(placed);
     let mean_gap_us = 1e6 / cfg.arrival_rate_qps;
 
     let mut clock_arrival = 0.0f64;
@@ -80,7 +83,7 @@ pub fn simulate_serving(
         // Exponential interarrival via inverse transform.
         let u: f64 = rng.gen_range(f64::EPSILON..1.0);
         clock_arrival += -mean_gap_us * u.ln();
-        let exec = simulate(graph, placed, system, &mut noise).latency_us;
+        let exec = plan.sample(&devices, &mut noise);
         let start = clock_arrival.max(server_free);
         let finish = start + exec;
         server_free = finish;

@@ -13,20 +13,21 @@
 //! * optional noise models perturb each execution and transfer, giving
 //!   the tail-latency distributions of Fig. 12.
 //!
-//! This simulator is also the scheduler's `measure_latency` oracle in the
-//! correction step (Algorithm 1, step 3) — the paper refines placements by
+//! The event loop is not here: a simulation is the list-scheduling core
+//! of [`CompiledPlan`] with two hooks attached — noise sampling
+//! ([`SimNoise`]) and timeline/witness emission. With noise disabled it
+//! is bit-identical to [`CompiledPlan::makespan`] by construction, which
+//! is also the scheduler's `measure_latency` oracle in the correction
+//! step (Algorithm 1, step 3) — the paper refines placements by
 //! *measured end-to-end latency* rather than analytic formulas, and so
 //! does `duet-core`.
 
-use std::collections::HashMap;
-
 use duet_compiler::CompiledSubgraph;
 use duet_device::{DeviceKind, NoiseModel, SystemModel};
-use duet_ir::{Graph, NodeId, Op};
+use duet_ir::Graph;
 
-use crate::witness::{
-    ExecutionWitness, TransferKind, TriggerEdge, WitnessEvent, WitnessRecorder, WitnessSource,
-};
+use crate::candidate::{devices_of, CompiledPlan, Hooks, Output};
+use crate::witness::{ExecutionWitness, WitnessEvent, WitnessRecorder, WitnessSource};
 
 /// A subgraph with its device assignment.
 #[derive(Debug, Clone)]
@@ -99,8 +100,9 @@ impl SimNoise {
     }
 }
 
-/// Simulate a placed schedule. Panics if a boundary input's producer is
-/// not covered by `placed` — schedules must cover the whole graph.
+/// Simulate a placed schedule. Panics with "schedule does not cover
+/// producer of node N" if a boundary input's producer is not covered by
+/// `placed` — schedules must cover the whole graph.
 pub fn simulate(
     graph: &Graph,
     placed: &[Placed],
@@ -139,218 +141,100 @@ pub fn simulate_recorded(
     noise: &mut SimNoise,
     recorder: Option<&WitnessRecorder>,
 ) -> SimResult {
-    let n = placed.len();
-    // node -> producing subgraph index.
-    let mut producer: HashMap<NodeId, usize> = HashMap::new();
-    for (i, p) in placed.iter().enumerate() {
-        for &id in &p.sg.node_ids {
-            producer.insert(id, i);
-        }
+    let plan = CompiledPlan::for_placed(graph, placed, system);
+    let devices = devices_of(placed);
+    let mut run = Simulated {
+        plan: &plan,
+        placed,
+        devices: &devices,
+        noise,
+        recorder,
+        timeline: Vec::with_capacity(placed.len()),
+        transferred: 0.0,
+    };
+    let latency_us = plan.schedule(&devices, &mut run);
+    SimResult {
+        latency_us,
+        timeline: run.timeline,
+        transferred_bytes: run.transferred,
+    }
+}
+
+impl CompiledPlan {
+    /// End-to-end latency of one noisy run of a placement, µs. Noise is
+    /// drawn in dispatch order: one transfer draw when a dispatch's
+    /// inputs move bytes, one compute draw per dispatch, then one D2H
+    /// draw per GPU-produced output.
+    pub fn sample(&self, devices: &[DeviceKind], noise: &mut SimNoise) -> f64 {
+        self.schedule(devices, noise)
+    }
+}
+
+/// Noise hooks: transfer noise stretches readiness, compute noise
+/// stretches execution.
+impl Hooks for SimNoise {
+    fn transfer(&mut self, ready_us: f64, _bytes: f64) -> f64 {
+        ready_us * self.transfer.multiplier()
     }
 
-    let mut transferred = 0.0f64;
-    let mut finish = vec![f64::NAN; n];
-    let mut done = vec![false; n];
-    // One entry per execution lane. The paper's engine runs one subgraph
-    // per device (footnote 2: lanes == 1); configuring more lanes on a
-    // device model prices the intra-device-concurrency extension.
-    let mut device_free: HashMap<DeviceKind, Vec<f64>> = HashMap::from([
-        (DeviceKind::Cpu, vec![0.0; system.cpu.lanes.max(1)]),
-        (DeviceKind::Gpu, vec![0.0; system.gpu.lanes.max(1)]),
-    ]);
-    let earliest_lane = |free: &[f64]| -> usize {
-        free.iter()
-            .enumerate()
-            .min_by(|a, b| a.1.total_cmp(b.1))
-            .map(|(i, _)| i)
-            .expect("device has at least one lane")
-    };
-    let mut timeline = Vec::with_capacity(n);
+    fn compute(&mut self, exec_us: f64) -> f64 {
+        self.compute.sample(exec_us)
+    }
 
-    // Ready time of subgraph i given current finishes; None if a producer
-    // has not finished yet. Transfer costs are sampled lazily, so we only
-    // sample when the subgraph is actually dispatched (keeps the noise
-    // stream aligned with execution order).
-    let deps_of = |i: usize| -> Vec<(NodeId, Option<usize>)> {
-        placed[i]
-            .sg
-            .inputs
-            .iter()
-            .map(|&src| {
-                let srcn = graph.node(src);
-                match srcn.op {
-                    Op::Input => (src, None),
-                    _ => {
-                        let p = *producer.get(&src).unwrap_or_else(|| {
-                            panic!("schedule does not cover producer of node {src}")
-                        });
-                        (src, Some(p))
-                    }
-                }
-            })
-            .collect()
-    };
-    let all_deps: Vec<Vec<(NodeId, Option<usize>)>> = (0..n).map(deps_of).collect();
+    fn d2h(&mut self, out: &Output) -> f64 {
+        out.d2h_us * self.transfer.multiplier()
+    }
+}
 
-    for _ in 0..n {
-        // Earliest-start-first among ready subgraphs.
-        let mut best: Option<(f64, usize, f64, f64)> = None; // (est_start, idx, ready, xfer_bytes)
-        for i in 0..n {
-            if done[i] {
-                continue;
-            }
-            if all_deps[i]
-                .iter()
-                .any(|(_, p)| p.map(|p| !done[p]).unwrap_or(false))
-            {
-                continue;
-            }
-            let dev = placed[i].device;
-            let mut ready = 0.0f64;
-            let mut xfer_bytes = 0.0f64;
-            for &(src, p) in &all_deps[i] {
-                let bytes = graph.node(src).shape.byte_size() as f64;
-                match p {
-                    None => {
-                        // Host-resident graph input.
-                        if dev == DeviceKind::Gpu {
-                            ready = ready.max(system.transfer_time_us(bytes));
-                            xfer_bytes += bytes;
-                        }
-                    }
-                    Some(p) => {
-                        let mut t = finish[p];
-                        if placed[p].device != dev {
-                            t += system.transfer_time_us(bytes);
-                            xfer_bytes += bytes;
-                        }
-                        ready = ready.max(t);
-                    }
-                }
-            }
-            let free = &device_free[&dev];
-            let est = ready.max(free[earliest_lane(free)]);
-            let better = match best {
-                None => true,
-                Some((bs, bi, ..)) => est < bs || (est == bs && i < bi),
-            };
-            if better {
-                best = Some((est, i, ready, xfer_bytes));
-            }
-        }
-        let (_, i, ready, xfer_bytes) = best.expect("acyclic schedule always has a ready subgraph");
-        let dev = placed[i].device;
-        // Sample noise now: transfer noise stretches readiness, compute
-        // noise stretches execution.
-        let ready = if xfer_bytes > 0.0 {
-            transferred += xfer_bytes;
-            ready * noise.transfer.multiplier()
-        } else {
-            ready
-        };
-        let free = device_free.get_mut(&dev).expect("device exists");
-        let lane = earliest_lane(free);
-        let start = ready.max(free[lane]);
-        // The lane-sharing discount applies only under actual contention:
-        // another lane of this device still busy when we dispatch.
-        let contended = free
-            .iter()
-            .enumerate()
-            .any(|(l, &t)| l != lane && t > start);
-        let penalty = if contended {
-            system.device(dev).lane_penalty()
-        } else {
-            1.0
-        };
-        let exec = noise
-            .compute
-            .sample(subgraph_exec_time_us(system, dev, &placed[i].sg) * penalty);
-        let end = start + exec;
-        finish[i] = end;
-        done[i] = true;
-        free[lane] = end;
-        if let Some(rec) = recorder {
-            let mut events: Vec<WitnessEvent> = Vec::new();
-            let mut triggers: Vec<TriggerEdge> = Vec::new();
-            for &(src, p) in &all_deps[i] {
-                let bytes = graph.node(src).shape.byte_size() as f64;
-                let crosses = match p {
-                    None => dev == DeviceKind::Gpu,
-                    Some(p) => placed[p].device != dev,
-                };
-                let xfer = if crosses {
-                    system.transfer_time_us(bytes)
-                } else {
-                    0.0
-                };
-                triggers.push(TriggerEdge {
-                    node: src,
-                    producer: p,
-                    bytes,
-                    transfer_us: xfer,
-                });
-                if crosses {
-                    events.push(WitnessEvent::Transfer {
-                        node: src,
-                        kind: match p {
-                            None => TransferKind::HostToDevice,
-                            Some(_) => TransferKind::DeviceToDevice,
-                        },
-                        bytes,
-                        time_us: xfer,
-                        consumer: Some(i),
-                    });
-                }
-            }
-            events.push(WitnessEvent::Start {
-                sg: i,
-                name: placed[i].sg.name.clone(),
-                device: dev,
-                at_us: start,
-                triggers,
-            });
+/// Noise plus the timeline, transfer accounting and witness events of
+/// one simulated run.
+struct Simulated<'a> {
+    plan: &'a CompiledPlan,
+    placed: &'a [Placed],
+    devices: &'a [DeviceKind],
+    noise: &'a mut SimNoise,
+    recorder: Option<&'a WitnessRecorder>,
+    timeline: Vec<TimelineEntry>,
+    transferred: f64,
+}
+
+impl Hooks for Simulated<'_> {
+    fn transfer(&mut self, ready_us: f64, bytes: f64) -> f64 {
+        self.transferred += bytes;
+        self.noise.transfer(ready_us, bytes)
+    }
+
+    fn compute(&mut self, exec_us: f64) -> f64 {
+        self.noise.compute(exec_us)
+    }
+
+    fn dispatched(&mut self, i: usize, start_us: f64, end_us: f64) {
+        let name = &self.placed[i].sg.name;
+        let device = self.devices[i];
+        if let Some(rec) = self.recorder {
+            let mut events = self.plan.start_events(i, self.devices, name, start_us);
             events.push(WitnessEvent::Finish {
                 sg: i,
-                device: dev,
-                at_us: end,
+                device,
+                at_us: end_us,
             });
             rec.record_all(events);
         }
-        timeline.push(TimelineEntry {
-            name: placed[i].sg.name.clone(),
-            device: dev,
-            start_us: start,
-            end_us: end,
+        self.timeline.push(TimelineEntry {
+            name: name.clone(),
+            device,
+            start_us,
+            end_us,
         });
     }
 
-    // All graph outputs must land back on the host.
-    let mut latency: f64 = 0.0;
-    for &out in graph.outputs() {
-        let p = *producer
-            .get(&out)
-            .expect("output produced by some subgraph");
-        let mut t = finish[p];
-        if placed[p].device == DeviceKind::Gpu {
-            let bytes = graph.node(out).shape.byte_size() as f64;
-            t += system.transfer_time_us(bytes) * noise.transfer.multiplier();
-            transferred += bytes;
-            if let Some(rec) = recorder {
-                rec.record(WitnessEvent::Transfer {
-                    node: out,
-                    kind: TransferKind::DeviceToHost,
-                    bytes,
-                    time_us: system.transfer_time_us(bytes),
-                    consumer: None,
-                });
-            }
+    fn d2h(&mut self, out: &Output) -> f64 {
+        let d2h_us = self.noise.d2h(out);
+        self.transferred += out.bytes;
+        if let Some(rec) = self.recorder {
+            rec.record(out.d2h_event());
         }
-        latency = latency.max(t);
-    }
-    SimResult {
-        latency_us: latency,
-        timeline,
-        transferred_bytes: transferred,
+        d2h_us
     }
 }
 
@@ -358,7 +242,7 @@ pub fn simulate_recorded(
 mod tests {
     use super::*;
     use duet_compiler::Compiler;
-    use duet_ir::GraphBuilder;
+    use duet_ir::{GraphBuilder, Op};
 
     /// Two independent dense branches joined by a concat head. The
     /// branches are wide enough (tens of microseconds) that cross-device
