@@ -190,6 +190,22 @@ for family in \
 done
 echo "all duet_tune_* metric families present."
 
+step "simulated timeline (duet trace) has CPU/GPU/PCIe lanes and one slice per subgraph"
+tmp SIM_TRACE --suffix .json
+tmp SIM_PLAN --suffix .json
+cargo run -q --release --bin duet -- trace siamese "$SIM_TRACE"
+cargo run -q --release --bin duet -- export-plan siamese "$SIM_PLAN"
+python3 - "$SIM_TRACE" "$SIM_PLAN" <<'PY'
+import json, sys
+events = json.load(open(sys.argv[1]))
+n = len(json.load(open(sys.argv[2]))["subgraphs"])
+lanes = {e["args"]["name"] for e in events if e.get("name") == "thread_name"}
+assert {"CPU", "GPU", "PCIe"} <= lanes, f"missing lanes: {lanes}"
+slices = sorted(e["args"]["sg"] for e in events if e.get("ph") == "X")
+assert slices == list(range(n)), f"expected one slice per subgraph 0..{n - 1}, got {slices}"
+print(f"trace OK: {n} subgraph slices on CPU/GPU/PCIe lanes")
+PY
+
 step "merged perfetto trace (duet trace --full) is one valid JSON document"
 tmp TRACE_OUT --suffix .json
 cargo run -q --release --bin duet -- trace siamese "$TRACE_OUT" --full

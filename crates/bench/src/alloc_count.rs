@@ -61,10 +61,6 @@ mod tests {
         drop(v);
     }
 
-    #[test]
-    fn counts_nothing_for_pure_code() {
-        let (n, sum) = count_allocs(|| (0u64..100).sum::<u64>());
-        assert_eq!(sum, 4950);
-        assert_eq!(n, 0);
-    }
+    // Counting zero allocations needs a process with no other test
+    // threads allocating: see `tests/alloc_count.rs`.
 }

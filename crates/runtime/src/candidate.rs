@@ -19,12 +19,12 @@
 //! list scheduler — Algorithm 1's `measure_latency`, the tuner's oracle
 //! ([`CandidateSim`] is this type), the single-device baselines and
 //! `explain` all call it. The simulator ([`crate::simulate`]) runs the
-//! same core with noise sampling and witness emission hooked in, and the
-//! threaded executor dispatches from the same edges and costs and emits
-//! its witness events through the same [`CompiledPlan::start_events`].
-//! A candidate evaluation is therefore a pure replay over `n` subgraphs:
-//! no kernel walks, no hashing, no allocation beyond a few scratch
-//! vectors.
+//! same core with noise sampling and an event log hooked in, and the
+//! threaded executor dispatches from the same edges and costs. Both
+//! engines' witnesses, timelines and transfer accounting are derived
+//! from their logs over this plan (module `event_log`). A candidate
+//! evaluation is therefore a pure replay over `n` subgraphs: no kernel
+//! walks, no hashing, no allocation beyond a few scratch vectors.
 
 use std::collections::HashMap;
 
@@ -32,8 +32,8 @@ use duet_compiler::CompiledSubgraph;
 use duet_device::{DeviceKind, SystemModel};
 use duet_ir::{Graph, NodeId, Op};
 
+use crate::event_log::Dispatch;
 use crate::sim::{subgraph_exec_time_us, Placed};
-use crate::witness::{TransferKind, TriggerEdge, WitnessEvent};
 
 /// The tuner's name for a [`CompiledPlan`]: a reusable evaluator of
 /// placements over one fixed set of compiled subgraphs.
@@ -56,7 +56,7 @@ impl Edge {
     /// Whether this edge crosses the device boundary into a consumer on
     /// `device`, under placement `devices` (graph inputs live on the
     /// host).
-    fn crosses(&self, device: DeviceKind, devices: &[DeviceKind]) -> bool {
+    pub(crate) fn crosses(&self, device: DeviceKind, devices: &[DeviceKind]) -> bool {
         match self.producer {
             None => device == DeviceKind::Gpu,
             Some(p) => devices[p] != device,
@@ -84,19 +84,6 @@ pub(crate) struct Output {
     pub d2h_us: f64,
 }
 
-impl Output {
-    /// The witness event of bringing this output back to the host.
-    pub(crate) fn d2h_event(&self) -> WitnessEvent {
-        WitnessEvent::Transfer {
-            node: self.node,
-            kind: TransferKind::DeviceToHost,
-            bytes: self.bytes,
-            time_us: self.d2h_us,
-            consumer: None,
-        }
-    }
-}
-
 /// A schedule's topology and prices, derived once; see the module docs.
 #[derive(Debug, Clone)]
 pub struct CompiledPlan {
@@ -115,8 +102,8 @@ pub struct CompiledPlan {
     lane_penalty: [f64; 2],
 }
 
-/// What the list-scheduling core lets a caller perturb or observe. The
-/// defaults leave every price as planned and observe nothing, which is
+/// The prices the list-scheduling core lets a caller perturb. The
+/// defaults leave every price as planned, which is
 /// [`CompiledPlan::makespan`].
 pub(crate) trait Hooks {
     /// Ready time of a dispatch whose inputs move `bytes > 0` across the
@@ -129,9 +116,6 @@ pub(crate) trait Hooks {
     fn compute(&mut self, exec_us: f64) -> f64 {
         exec_us
     }
-
-    /// Subgraph `i` was dispatched over `[start_us, end_us]`.
-    fn dispatched(&mut self, _i: usize, _start_us: f64, _end_us: f64) {}
 
     /// D2H time of a GPU-produced graph output.
     fn d2h(&mut self, out: &Output) -> f64 {
@@ -338,70 +322,40 @@ impl CompiledPlan {
         })
     }
 
-    /// Witness events of dispatching subgraph `i` (named `name`) at
-    /// `at_us`: one transfer per input that crosses the device boundary,
-    /// then the `Start` carrying every triggering edge.
-    pub(crate) fn start_events(
-        &self,
-        i: usize,
-        devices: &[DeviceKind],
-        name: &str,
-        at_us: f64,
-    ) -> Vec<WitnessEvent> {
-        let device = devices[i];
-        let mut events = Vec::new();
-        let triggers = self.edges[i]
+    /// Bytes a dispatch of subgraph `i` moves across the interconnect
+    /// under placement `devices`.
+    pub(crate) fn moved_bytes(&self, i: usize, devices: &[DeviceKind]) -> f64 {
+        self.edges[i]
             .iter()
-            .map(|e| {
-                let transfer_us = e.transfer_us_into(device, devices);
-                if e.crosses(device, devices) {
-                    events.push(WitnessEvent::Transfer {
-                        node: e.node,
-                        kind: match e.producer {
-                            None => TransferKind::HostToDevice,
-                            Some(_) => TransferKind::DeviceToDevice,
-                        },
-                        bytes: e.bytes,
-                        time_us: transfer_us,
-                        consumer: Some(i),
-                    });
-                }
-                TriggerEdge {
-                    node: e.node,
-                    producer: e.producer,
-                    bytes: e.bytes,
-                    transfer_us,
-                }
-            })
-            .collect();
-        events.push(WitnessEvent::Start {
-            sg: i,
-            name: name.to_string(),
-            device,
-            at_us,
-            triggers,
-        });
-        events
+            .filter(|e| e.crosses(devices[i], devices))
+            .map(|e| e.bytes)
+            .sum()
     }
 
     /// Noise-free end-to-end makespan of one placement, µs: all graph
     /// outputs resident on the host.
     pub fn makespan(&self, devices: &[DeviceKind]) -> f64 {
-        self.schedule(devices, &mut Planned)
+        self.schedule(devices, &mut Planned, None)
     }
 
     /// The list-scheduling core. Each device runs its subgraphs one per
     /// lane; the next dispatch is the ready subgraph with the earliest
     /// feasible start, ties to the lower index. A subgraph is ready when
     /// its producers have finished and every cross-device input has been
-    /// transferred.
-    pub(crate) fn schedule(&self, devices: &[DeviceKind], hooks: &mut impl Hooks) -> f64 {
+    /// transferred. With a `log`, the `k`-th dispatch is appended to it,
+    /// its `Start` and `Finish` committed as events `2k` and `2k + 1`.
+    pub(crate) fn schedule(
+        &self,
+        devices: &[DeviceKind],
+        hooks: &mut impl Hooks,
+        mut log: Option<&mut Vec<Dispatch>>,
+    ) -> f64 {
         let n = self.len();
         assert_eq!(devices.len(), n, "one device per subgraph");
         let mut finish = vec![f64::NAN; n];
         let mut done = vec![false; n];
         let mut free: [Vec<f64>; 2] = [vec![0.0; self.lanes[0]], vec![0.0; self.lanes[1]]];
-        for _ in 0..n {
+        for k in 0..n {
             let mut best: Option<(f64, usize, f64)> = None; // (est, idx, ready)
             for i in 0..n {
                 if done[i] || self.deps[i].iter().any(|&p| !done[p]) {
@@ -416,11 +370,7 @@ impl CompiledPlan {
             }
             let (_, i, ready) = best.expect("acyclic schedule always has a ready subgraph");
             let dev = devices[i] as usize;
-            let moved: f64 = self.edges[i]
-                .iter()
-                .filter(|e| e.crosses(devices[i], devices))
-                .map(|e| e.bytes)
-                .sum();
+            let moved = self.moved_bytes(i, devices);
             let ready = if moved > 0.0 {
                 hooks.transfer(ready, moved)
             } else {
@@ -445,7 +395,17 @@ impl CompiledPlan {
             finish[i] = end;
             done[i] = true;
             lanes[lane] = end;
-            hooks.dispatched(i, start, end);
+            if let Some(log) = log.as_deref_mut() {
+                let seq = 2 * k as u32;
+                log.push(Dispatch {
+                    sg: i,
+                    device: devices[i],
+                    start_us: start,
+                    end_us: end,
+                    start_seq: seq,
+                    finish_seq: seq + 1,
+                });
+            }
         }
         self.outputs.iter().fold(0.0f64, |latency, out| {
             let mut t = finish[out.producer];

@@ -13,18 +13,20 @@
 //! yields both verifiable outputs and the latency the modeled hardware
 //! would have achieved.
 //!
-//! Runs can be **witnessed**: [`HeterogeneousExecutor::run_recorded`]
-//! threads an optional [`WitnessRecorder`] through the workers, emitting
-//! the `D3xx`-checkable event log of [`crate::witness`] (start/finish per
-//! subgraph, triggering edges, every modeled transfer) at zero cost when
-//! no recorder is attached. For race hunting, [`DelayInjection`] makes
-//! each worker sleep a seeded random interval before every dispatch,
-//! perturbing the real thread interleaving without changing what a
-//! correct run may produce.
+//! Per dispatch a worker does four things: receive, compute, write the
+//! subgraph's record in the run's event log (module `event_log`) and
+//! trigger its consumers. The log stamps each `Start` and `Finish` with
+//! its commit order. Everything else a run reports — the task counts,
+//! the [`ExecBreakdown`], the telemetry spans and, for
+//! [`HeterogeneousExecutor::run_witnessed`], the `D3xx`-checkable
+//! [`ExecutionWitness`] — is derived from that log after the workers
+//! stop. For race hunting, [`DelayInjection`] makes each worker sleep a
+//! seeded random interval before every dispatch, perturbing the real
+//! thread interleaving without changing what a correct run may produce.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Sender};
@@ -36,10 +38,9 @@ use parking_lot::Mutex;
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 
 use crate::candidate::{devices_of, CompiledPlan};
+use crate::event_log::{Dispatch, Run};
 use crate::sim::Placed;
-use crate::witness::{
-    DelayInjection, ExecutionWitness, WitnessEvent, WitnessRecorder, WitnessSource,
-};
+use crate::witness::{DelayInjection, ExecutionWitness, WitnessRecorder, WitnessSource};
 
 /// Virtual-time decomposition of one run: where the modeled hardware
 /// spent its microseconds. Busy times are summed per device (they can
@@ -180,33 +181,16 @@ impl<'g> HeterogeneousExecutor<'g> {
 
     /// Execute one inference with the given input feeds.
     pub fn run(&self, feeds: &HashMap<NodeId, Tensor>) -> Result<ExecutionOutcome, GraphError> {
-        self.run_recorded(feeds, None)
+        Ok(self.run_inner(Some(feeds))?.0)
     }
 
-    /// Execute one inference, optionally streaming witness events into
-    /// `recorder`. With `None` this is exactly [`Self::run`]: no events
-    /// are built and no recorder locks are taken.
-    pub fn run_recorded(
-        &self,
-        feeds: &HashMap<NodeId, Tensor>,
-        recorder: Option<&WitnessRecorder>,
-    ) -> Result<ExecutionOutcome, GraphError> {
-        self.run_inner(Some(feeds), recorder)
-    }
-
-    /// Execute one inference and return the sealed witness next to the
-    /// outcome.
+    /// Execute one inference and return its witness next to the outcome.
     pub fn run_witnessed(
         &self,
         feeds: &HashMap<NodeId, Tensor>,
     ) -> Result<(ExecutionOutcome, ExecutionWitness), GraphError> {
-        let rec = WitnessRecorder::new();
-        let outcome = self.run_recorded(feeds, Some(&rec))?;
-        let witness = rec.into_witness(
-            self.graph.name.clone(),
-            WitnessSource::Executor,
-            outcome.virtual_latency_us,
-        );
+        let (outcome, log) = self.run_inner(Some(feeds))?;
+        let witness = self.witness(&log, outcome.virtual_latency_us);
         Ok((outcome, witness))
     }
 
@@ -215,26 +199,61 @@ impl<'g> HeterogeneousExecutor<'g> {
     /// back empty; everything else (latency, task counts, witness
     /// events) is as a real run would produce. This makes the threaded
     /// engine's *scheduling* behavior testable on paper-size models in
-    /// milliseconds.
+    /// milliseconds. The run's witness events go to `recorder`, if any.
     pub fn run_virtual(
         &self,
         recorder: Option<&WitnessRecorder>,
     ) -> Result<ExecutionOutcome, GraphError> {
-        self.run_inner(None, recorder)
+        let (outcome, log) = self.run_inner(None)?;
+        if let Some(rec) = recorder {
+            rec.record_all(self.witness(&log, outcome.virtual_latency_us).events);
+        }
+        Ok(outcome)
     }
 
+    fn over_log<'a>(&'a self, log: &'a [Dispatch]) -> Run<'a> {
+        Run {
+            plan: &self.plan,
+            placed: self.placed,
+            devices: &self.devices,
+            log,
+        }
+    }
+
+    fn witness(&self, log: &[Dispatch], latency_us: f64) -> ExecutionWitness {
+        self.over_log(log)
+            .witness(&self.graph.name, WitnessSource::Executor, latency_us)
+    }
+
+    /// One run: its outcome and its event log in `Finish` commit order.
     fn run_inner(
         &self,
         feeds: Option<&HashMap<NodeId, Tensor>>,
-        recorder: Option<&WitnessRecorder>,
-    ) -> Result<ExecutionOutcome, GraphError> {
+    ) -> Result<(ExecutionOutcome, Vec<Dispatch>), GraphError> {
         let n = self.placed.len();
         let wall_start = Instant::now();
         let plan = &*self.plan;
         let devices = &self.devices;
-        let pending: Vec<AtomicUsize> = (0..n)
-            .map(|i| AtomicUsize::new(plan.deps(i).len()))
+        // One slot per subgraph: its producers still running, and its log
+        // record (whose `end_us` is what consumers' readiness reads).
+        let slots: Vec<Slot> = (0..n)
+            .map(|i| Slot {
+                pending: AtomicUsize::new(plan.deps(i).len()),
+                dispatch: Mutex::new(Dispatch {
+                    sg: i,
+                    device: devices[i],
+                    start_us: 0.0,
+                    end_us: 0.0,
+                    start_seq: 0,
+                    finish_seq: 0,
+                }),
+            })
             .collect();
+        // Commit order of the log's events. A single atomic's modification
+        // order agrees with happens-before, so a producer's `Finish`
+        // (stamped before it triggers) always precedes its consumers'
+        // `Start`s (stamped after they receive the trigger).
+        let seq = AtomicU32::new(0);
 
         // Shared state. The store holds only cross-subgraph intermediates;
         // feeds are immutable for the whole run and are read lock-free
@@ -242,16 +261,8 @@ impl<'g> HeterogeneousExecutor<'g> {
         // a full HashMap rebuild on every inference).
         let values: Mutex<HashMap<NodeId, Tensor>> = Mutex::new(HashMap::new());
         let numerics = feeds.is_some();
-        let finish_us: Vec<Mutex<f64>> = (0..n).map(|_| Mutex::new(0.0)).collect();
         let error: Mutex<Option<GraphError>> = Mutex::new(None);
         let done = AtomicUsize::new(0);
-        let task_counts: [AtomicUsize; 2] = [AtomicUsize::new(0), AtomicUsize::new(0)];
-        // Virtual-time accounting and (when tracing) the causal span
-        // tree; workers accumulate locally and merge once at exit.
-        let busy_us: [Mutex<f64>; 2] = [Mutex::new(0.0), Mutex::new(0.0)];
-        let transfer_total_us: Mutex<f64> = Mutex::new(0.0);
-        let run_ctx = self.trace.map(|parent| (parent, parent.child()));
-        let trace_spans: Mutex<Vec<duet_telemetry::Span>> = Mutex::new(Vec::new());
 
         let (cpu_tx, cpu_rx) = unbounded::<Msg>();
         let (gpu_tx, gpu_rx) = unbounded::<Msg>();
@@ -272,21 +283,15 @@ impl<'g> HeterogeneousExecutor<'g> {
         std::thread::scope(|scope| {
             for (device, rx) in [(DeviceKind::Cpu, &cpu_rx), (DeviceKind::Gpu, &gpu_rx)] {
                 let values = &values;
-                let finish_us = &finish_us;
+                let slots = &slots;
+                let seq = &seq;
                 let error = &error;
                 let done = &done;
-                let pending = &pending;
-                let task_counts = &task_counts;
-                let busy_us = &busy_us;
-                let transfer_total_us = &transfer_total_us;
-                let trace_spans = &trace_spans;
                 let cpu_tx = cpu_tx.clone();
                 let gpu_tx = gpu_tx.clone();
                 scope.spawn(move || {
-                    // Worker loop: poll own queue, execute, trigger deps.
+                    // Worker loop: poll own queue, execute, log, trigger deps.
                     let mut device_time = 0.0f64;
-                    let mut local_busy = 0.0f64;
-                    let mut local_xfer = 0.0f64;
                     let mut delay_rng = self
                         .delays
                         .map(|d| SmallRng::seed_from_u64(d.seed ^ (0xD1CE << device as u64)));
@@ -302,15 +307,9 @@ impl<'g> HeterogeneousExecutor<'g> {
                         }
                         let placed = &self.placed[i];
                         // Virtual readiness: producers' finish + transfers.
-                        let ready = plan.ready_us(i, devices, |p| *finish_us[p].lock());
-                        for e in plan.edges(i) {
-                            local_xfer += e.transfer_us_into(device, devices);
-                        }
+                        let ready = plan.ready_us(i, devices, |p| slots[p].dispatch.lock().end_us);
                         let start = ready.max(device_time);
-                        let exec = plan.exec_time_us(i, device);
-                        if let Some(rec) = recorder {
-                            rec.record_all(plan.start_events(i, devices, &placed.sg.name, start));
-                        }
+                        let start_seq = seq.fetch_add(1, Ordering::Relaxed);
 
                         // Real numerics on the host. Only the values this
                         // subgraph's boundary inputs name are cloned out of
@@ -356,94 +355,18 @@ impl<'g> HeterogeneousExecutor<'g> {
                                 }
                             }
                         }
-                        device_time = start + exec;
-                        *finish_us[i].lock() = device_time;
-                        if let Some(rec) = recorder {
-                            rec.record(WitnessEvent::Finish {
-                                sg: i,
-                                device,
-                                at_us: device_time,
-                            });
-                        }
-                        task_counts[device as usize].fetch_add(1, Ordering::Relaxed);
-                        match device {
-                            DeviceKind::Cpu => duet_telemetry::registry::EXEC_SUBGRAPHS_CPU.inc(),
-                            DeviceKind::Gpu => duet_telemetry::registry::EXEC_SUBGRAPHS_GPU.inc(),
-                        }
-                        local_busy += exec;
-                        // Span timestamps are *virtual* µs — the same
-                        // clock the witness records, so span order can be
-                        // checked against witness happens-before.
-                        match run_ctx {
-                            Some((_, run)) => {
-                                // Dispatch and kernel spans hang off the
-                                // run span: request → batch → run →
-                                // subgraph → kernel is one linked tree.
-                                let sg_ctx = run.child();
-                                let kernel_ctx = sg_ctx.child();
-                                let instrs = placed.sg.tape.instrs.len() as u64;
-                                duet_telemetry::record_span_traced(
-                                    duet_telemetry::SpanKind::ExecSubgraph,
-                                    i as u64,
-                                    start,
-                                    exec,
-                                    device as u64 as f64,
-                                    0.0,
-                                    sg_ctx.trace_id,
-                                    sg_ctx.span_id,
-                                    run.span_id,
-                                );
-                                duet_telemetry::record_span_traced(
-                                    duet_telemetry::SpanKind::ExecKernel,
-                                    instrs,
-                                    start,
-                                    exec,
-                                    device as u64 as f64,
-                                    0.0,
-                                    kernel_ctx.trace_id,
-                                    kernel_ctx.span_id,
-                                    sg_ctx.span_id,
-                                );
-                                let mut spans = trace_spans.lock();
-                                let seq = spans.len() as u64;
-                                spans.push(duet_telemetry::Span {
-                                    seq,
-                                    kind: duet_telemetry::SpanKind::ExecSubgraph,
-                                    detail: i as u64,
-                                    start_us: start,
-                                    dur_us: exec,
-                                    arg0: device as u64 as f64,
-                                    arg1: 0.0,
-                                    trace_id: sg_ctx.trace_id,
-                                    span_id: sg_ctx.span_id,
-                                    parent_id: run.span_id,
-                                });
-                                spans.push(duet_telemetry::Span {
-                                    seq: seq + 1,
-                                    kind: duet_telemetry::SpanKind::ExecKernel,
-                                    detail: instrs,
-                                    start_us: start,
-                                    dur_us: exec,
-                                    arg0: device as u64 as f64,
-                                    arg1: 0.0,
-                                    trace_id: kernel_ctx.trace_id,
-                                    span_id: kernel_ctx.span_id,
-                                    parent_id: sg_ctx.span_id,
-                                });
-                            }
-                            None => duet_telemetry::record_span(
-                                duet_telemetry::SpanKind::ExecSubgraph,
-                                i as u64,
-                                start,
-                                exec,
-                                device as u64 as f64,
-                                0.0,
-                            ),
+                        device_time = start + plan.exec_time_us(i, device);
+                        {
+                            let mut d = slots[i].dispatch.lock();
+                            d.start_us = start;
+                            d.end_us = device_time;
+                            d.start_seq = start_seq;
+                            d.finish_seq = seq.fetch_add(1, Ordering::Relaxed);
                         }
 
                         // Trigger consumers whose last dependency this was.
                         for &c in plan.consumers(i) {
-                            if pending[c].fetch_sub(1, Ordering::AcqRel) == 1 {
+                            if slots[c].pending.fetch_sub(1, Ordering::AcqRel) == 1 {
                                 let tx = match devices[c] {
                                     DeviceKind::Cpu => &cpu_tx,
                                     DeviceKind::Gpu => &gpu_tx,
@@ -456,8 +379,6 @@ impl<'g> HeterogeneousExecutor<'g> {
                             let _ = gpu_tx.send(Msg::Stop);
                         }
                     }
-                    *busy_us[device as usize].lock() += local_busy;
-                    *transfer_total_us.lock() += local_xfer;
                 });
             }
         });
@@ -466,18 +387,15 @@ impl<'g> HeterogeneousExecutor<'g> {
             return Err(e);
         }
 
-        // Collect outputs and account for D2H transfers.
+        // Collect outputs; the latency includes the D2H of GPU outputs.
+        let mut log: Vec<Dispatch> = slots.into_iter().map(|s| s.dispatch.into_inner()).collect();
         let values = values.into_inner();
         let mut outputs = HashMap::new();
         let mut latency = 0.0f64;
         for out in plan.outputs() {
-            let mut t = *finish_us[out.producer].lock();
+            let mut t = log[out.producer].end_us;
             if devices[out.producer] == DeviceKind::Gpu {
                 t += out.d2h_us;
-                *transfer_total_us.lock() += out.d2h_us;
-                if let Some(rec) = recorder {
-                    rec.record(out.d2h_event());
-                }
             }
             latency = latency.max(t);
             if numerics {
@@ -488,70 +406,48 @@ impl<'g> HeterogeneousExecutor<'g> {
                 outputs.insert(out.node, v);
             }
         }
+
+        log.sort_unstable_by_key(|d| d.finish_seq);
+        let run = self.over_log(&log);
+        let tasks_per_device = run.tasks_per_device();
+        duet_telemetry::registry::EXEC_SUBGRAPHS_CPU.add(tasks_per_device[&DeviceKind::Cpu] as u64);
+        duet_telemetry::registry::EXEC_SUBGRAPHS_GPU.add(tasks_per_device[&DeviceKind::Gpu] as u64);
         duet_telemetry::registry::EXEC_RUNS.inc();
-        let mut trace_spans = trace_spans.into_inner();
-        match run_ctx {
-            Some((parent, run)) => {
-                duet_telemetry::record_span_traced(
-                    duet_telemetry::SpanKind::ExecRun,
-                    n as u64,
-                    0.0,
-                    latency,
-                    0.0,
-                    0.0,
-                    run.trace_id,
-                    run.span_id,
-                    parent.span_id,
-                );
-                let seq = trace_spans.len() as u64;
-                trace_spans.push(duet_telemetry::Span {
-                    seq,
-                    kind: duet_telemetry::SpanKind::ExecRun,
-                    detail: n as u64,
-                    start_us: 0.0,
-                    dur_us: latency,
-                    arg0: 0.0,
-                    arg1: 0.0,
-                    trace_id: run.trace_id,
-                    span_id: run.span_id,
-                    parent_id: parent.span_id,
-                });
-            }
-            None => duet_telemetry::record_span(
-                duet_telemetry::SpanKind::ExecRun,
-                n as u64,
-                0.0,
-                latency,
-                0.0,
-                0.0,
-            ),
+        let mut trace_spans = Vec::new();
+        if self.trace.is_some() || duet_telemetry::enabled() {
+            run.spans(self.trace, latency, |span| {
+                duet_telemetry::publish_span(&span);
+                if self.trace.is_some() {
+                    let seq = trace_spans.len() as u64;
+                    trace_spans.push(duet_telemetry::Span { seq, ..span });
+                }
+            });
         }
-        Ok(ExecutionOutcome {
+        let outcome = ExecutionOutcome {
             outputs,
             virtual_latency_us: latency,
             wall_time: wall_start.elapsed(),
-            tasks_per_device: HashMap::from([
-                (DeviceKind::Cpu, task_counts[0].load(Ordering::Relaxed)),
-                (DeviceKind::Gpu, task_counts[1].load(Ordering::Relaxed)),
-            ]),
-            breakdown: {
-                let [cpu_busy, gpu_busy] = busy_us;
-                ExecBreakdown {
-                    cpu_busy_us: cpu_busy.into_inner(),
-                    gpu_busy_us: gpu_busy.into_inner(),
-                    transfer_us: transfer_total_us.into_inner(),
-                }
-            },
+            tasks_per_device,
+            breakdown: run.breakdown(),
             trace_spans,
-        })
+        };
+        Ok((outcome, log))
     }
+}
+
+/// One subgraph's state during a run. Both fields share one slot so a
+/// run allocates one vector for them, not two.
+struct Slot {
+    /// Producers that have not finished yet.
+    pending: AtomicUsize,
+    dispatch: Mutex<Dispatch>,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::measure::measure_latency;
-    use crate::witness::TransferKind;
+    use crate::witness::{TransferKind, WitnessEvent};
     use duet_compiler::Compiler;
     use duet_ir::{GraphBuilder, Op};
     use duet_models::{input_feeds, siamese, SiameseConfig};

@@ -15,23 +15,29 @@
 //!   (per-device serialization, cross-device transfer latency); the
 //!   scheduler's correction loop, the tuner's oracle ([`CandidateSim`])
 //!   and [`measure_latency`] all evaluate placements with it.
-//! * [`simulate`] — the same core with two hooks attached: seeded noise
-//!   sampling and timeline/witness emission. All evaluation figures are
-//!   produced with it.
+//! * [`simulate`] — the same core with seeded noise sampling hooked in,
+//!   writing the run's event log. All evaluation figures are produced
+//!   with it.
 //! * [`HeterogeneousExecutor`] — the engine of §IV-D: one worker thread
 //!   per device polling its own synchronization queue, dependency-
 //!   triggered subgraph execution, real tensor numerics. It dispatches
 //!   from a plan built once per executor (or borrowed from the engine),
 //!   never re-derived per run.
+//! * One event log per run — both engines record each dispatch once;
+//!   witness, breakdown, task counts, telemetry spans and timeline are
+//!   derived from it after the run.
 //! * [`LatencyStats`] — mean and percentile statistics over repeated runs
 //!   (the paper reports P50/P99/P99.9 over 5000 runs).
-//! * [`ExecutionWitness`] — an ordered event log both engines can emit
-//!   through a [`WitnessRecorder`] hook; `duet-analysis` checks witnesses
-//!   for runtime conformance (`D3xx`): happens-before order, virtual-clock
+//! * [`ExecutionWitness`] — a run's events in commit order, built from its
+//!   log on request ([`simulate_witnessed`],
+//!   [`HeterogeneousExecutor::run_witnessed`]) and rendered by
+//!   [`witness_to_chrome_trace`]; `duet-analysis` checks witnesses for
+//!   runtime conformance (`D3xx`): happens-before order, virtual-clock
 //!   readiness, per-device monotonicity, transfer accounting, reported
 //!   latency.
 
 pub mod candidate;
+mod event_log;
 pub mod executor;
 pub mod measure;
 pub mod profile;
@@ -47,11 +53,10 @@ pub use measure::{measure_latency, measure_stats};
 pub use profile::{Profiler, SubgraphProfile};
 pub use serving::{simulate_serving, ServingConfig, ServingResult};
 pub use sim::{
-    simulate, simulate_recorded, simulate_witnessed, subgraph_exec_time_us, Placed, SimNoise,
-    SimResult, TimelineEntry,
+    simulate, simulate_witnessed, subgraph_exec_time_us, Placed, SimNoise, SimResult, TimelineEntry,
 };
 pub use stats::LatencyStats;
-pub use trace::{merged_perfetto_trace, to_chrome_trace, witness_to_chrome_trace};
+pub use trace::{merged_perfetto_trace, witness_to_chrome_trace};
 pub use witness::{
     DelayInjection, ExecutionWitness, TransferKind, TriggerEdge, WitnessEvent, WitnessRecorder,
     WitnessSource,

@@ -14,9 +14,10 @@
 //!   the tail-latency distributions of Fig. 12.
 //!
 //! The event loop is not here: a simulation is the list-scheduling core
-//! of [`CompiledPlan`] with two hooks attached — noise sampling
-//! ([`SimNoise`]) and timeline/witness emission. With noise disabled it
-//! is bit-identical to [`CompiledPlan::makespan`] by construction, which
+//! of [`CompiledPlan`] with noise sampling ([`SimNoise`]) hooked in,
+//! writing the run's event log. The timeline, transferred bytes and
+//! witness are derived from that log after the run (module `event_log`). With noise disabled the latency is
+//! bit-identical to [`CompiledPlan::makespan`] by construction, which
 //! is also the scheduler's `measure_latency` oracle in the correction
 //! step (Algorithm 1, step 3) — the paper refines placements by
 //! *measured end-to-end latency* rather than analytic formulas, and so
@@ -27,7 +28,8 @@ use duet_device::{DeviceKind, NoiseModel, SystemModel};
 use duet_ir::Graph;
 
 use crate::candidate::{devices_of, CompiledPlan, Hooks, Output};
-use crate::witness::{ExecutionWitness, WitnessEvent, WitnessRecorder, WitnessSource};
+use crate::event_log::Run;
+use crate::witness::{ExecutionWitness, WitnessSource};
 
 /// A subgraph with its device assignment.
 #[derive(Debug, Clone)]
@@ -109,7 +111,7 @@ pub fn simulate(
     system: &SystemModel,
     noise: &mut SimNoise,
 ) -> SimResult {
-    simulate_recorded(graph, placed, system, noise, None)
+    simulated(graph, placed, system, noise, false).0
 }
 
 /// [`simulate`] with its witness sealed next to the result.
@@ -122,42 +124,35 @@ pub fn simulate_witnessed(
     system: &SystemModel,
     noise: &mut SimNoise,
 ) -> (SimResult, ExecutionWitness) {
-    let rec = WitnessRecorder::new();
-    let result = simulate_recorded(graph, placed, system, noise, Some(&rec));
-    let witness = rec.into_witness(
-        graph.name.clone(),
-        WitnessSource::Simulator,
-        result.latency_us,
-    );
-    (result, witness)
+    let (result, witness) = simulated(graph, placed, system, noise, true);
+    (result, witness.expect("witness requested"))
 }
 
-/// [`simulate`], optionally streaming witness events into `recorder`
-/// (dispatch order; zero cost when `None`).
-pub fn simulate_recorded(
+/// One simulated run, and its witness if `witnessed`.
+fn simulated(
     graph: &Graph,
     placed: &[Placed],
     system: &SystemModel,
     noise: &mut SimNoise,
-    recorder: Option<&WitnessRecorder>,
-) -> SimResult {
+    witnessed: bool,
+) -> (SimResult, Option<ExecutionWitness>) {
     let plan = CompiledPlan::for_placed(graph, placed, system);
     let devices = devices_of(placed);
-    let mut run = Simulated {
+    let mut log = Vec::with_capacity(placed.len());
+    let latency_us = plan.schedule(&devices, noise, Some(&mut log));
+    let run = Run {
         plan: &plan,
         placed,
         devices: &devices,
-        noise,
-        recorder,
-        timeline: Vec::with_capacity(placed.len()),
-        transferred: 0.0,
+        log: &log,
     };
-    let latency_us = plan.schedule(&devices, &mut run);
-    SimResult {
+    let result = SimResult {
         latency_us,
-        timeline: run.timeline,
-        transferred_bytes: run.transferred,
-    }
+        timeline: run.timeline(),
+        transferred_bytes: run.transferred_bytes(),
+    };
+    let witness = witnessed.then(|| run.witness(&graph.name, WitnessSource::Simulator, latency_us));
+    (result, witness)
 }
 
 impl CompiledPlan {
@@ -166,7 +161,7 @@ impl CompiledPlan {
     /// inputs move bytes, one compute draw per dispatch, then one D2H
     /// draw per GPU-produced output.
     pub fn sample(&self, devices: &[DeviceKind], noise: &mut SimNoise) -> f64 {
-        self.schedule(devices, noise)
+        self.schedule(devices, noise, None)
     }
 }
 
@@ -183,58 +178,6 @@ impl Hooks for SimNoise {
 
     fn d2h(&mut self, out: &Output) -> f64 {
         out.d2h_us * self.transfer.multiplier()
-    }
-}
-
-/// Noise plus the timeline, transfer accounting and witness events of
-/// one simulated run.
-struct Simulated<'a> {
-    plan: &'a CompiledPlan,
-    placed: &'a [Placed],
-    devices: &'a [DeviceKind],
-    noise: &'a mut SimNoise,
-    recorder: Option<&'a WitnessRecorder>,
-    timeline: Vec<TimelineEntry>,
-    transferred: f64,
-}
-
-impl Hooks for Simulated<'_> {
-    fn transfer(&mut self, ready_us: f64, bytes: f64) -> f64 {
-        self.transferred += bytes;
-        self.noise.transfer(ready_us, bytes)
-    }
-
-    fn compute(&mut self, exec_us: f64) -> f64 {
-        self.noise.compute(exec_us)
-    }
-
-    fn dispatched(&mut self, i: usize, start_us: f64, end_us: f64) {
-        let name = &self.placed[i].sg.name;
-        let device = self.devices[i];
-        if let Some(rec) = self.recorder {
-            let mut events = self.plan.start_events(i, self.devices, name, start_us);
-            events.push(WitnessEvent::Finish {
-                sg: i,
-                device,
-                at_us: end_us,
-            });
-            rec.record_all(events);
-        }
-        self.timeline.push(TimelineEntry {
-            name: name.clone(),
-            device,
-            start_us,
-            end_us,
-        });
-    }
-
-    fn d2h(&mut self, out: &Output) -> f64 {
-        let d2h_us = self.noise.d2h(out);
-        self.transferred += out.bytes;
-        if let Some(rec) = self.recorder {
-            rec.record(out.d2h_event());
-        }
-        d2h_us
     }
 }
 

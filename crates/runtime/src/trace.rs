@@ -1,26 +1,26 @@
-//! Chrome-tracing export of simulated timelines and execution witnesses.
+//! Chrome-tracing export of execution witnesses.
 //!
-//! The paper's Fig. 4 is an execution timeline. [`to_chrome_trace`] turns
-//! any [`SimResult`] into the Chrome `chrome://tracing` / Perfetto JSON
-//! array format (one complete event per subgraph, one lane per device),
-//! so schedules can be inspected in a real trace viewer:
+//! The paper's Fig. 4 is an execution timeline. [`witness_to_chrome_trace`]
+//! turns an [`ExecutionWitness`] — of the simulator or the executor —
+//! into the Chrome `chrome://tracing` / Perfetto JSON array format, so
+//! schedules can be inspected in a real trace viewer:
 //!
 //! ```text
 //! duet trace wide_and_deep trace.json   # then open in ui.perfetto.dev
 //! ```
 //!
-//! [`witness_to_chrome_trace`] renders an [`ExecutionWitness`] the same
-//! way, annotated: each subgraph slice carries its index, device and
-//! triggering edges in `args`, and every modeled transfer appears as an
-//! instant event on a dedicated PCIe lane. All events are serialized
-//! with `serde_json`, so arbitrary subgraph names — quotes, newlines,
-//! any control character — always produce valid JSON.
+//! Each subgraph dispatch is one complete event on its device's lane,
+//! carrying its index and triggering edges in `args`, and every modeled
+//! transfer is an instant event on a dedicated PCIe lane.
+//! [`merged_perfetto_trace`] adds telemetry spans to the same events.
+//! All events are serialized with `serde_json`, so arbitrary subgraph
+//! names — quotes, newlines, any control character — always produce
+//! valid JSON.
 
 use duet_device::DeviceKind;
 use serde_json::{json, Value};
 
-use crate::sim::SimResult;
-use crate::witness::{ExecutionWitness, WitnessEvent};
+use crate::witness::{ExecutionWitness, TriggerEdge, WitnessEvent};
 
 fn device_tid(device: DeviceKind) -> i64 {
     match device {
@@ -32,11 +32,7 @@ fn device_tid(device: DeviceKind) -> i64 {
 /// The PCIe/interconnect lane in witness traces.
 const TRANSFER_TID: i64 = 3;
 
-fn metadata(process: &str, lanes: &[(i64, &str)]) -> Vec<Value> {
-    metadata_for(1, process, lanes)
-}
-
-fn metadata_for(pid: i64, process: &str, lanes: &[(i64, &str)]) -> Vec<Value> {
+fn metadata(pid: i64, process: &str, lanes: &[(i64, &str)]) -> Vec<Value> {
     let mut events = vec![json!({
         "name": "process_name", "ph": "M", "pid": pid, "tid": 0,
         "args": {"name": process},
@@ -50,31 +46,25 @@ fn metadata_for(pid: i64, process: &str, lanes: &[(i64, &str)]) -> Vec<Value> {
     events
 }
 
+/// A complete ("X") event of `dur` µs on lane `(pid, tid)`, or an
+/// instant ("i") when `dur` is `None`.
+fn event(name: &str, (pid, tid): (i64, i64), ts: f64, dur: Option<f64>, args: Value) -> Value {
+    match dur {
+        Some(dur) => json!({
+            "name": name, "ph": "X", "pid": pid, "tid": tid, "ts": ts, "dur": dur, "args": args,
+        }),
+        None => json!({
+            "name": name, "ph": "i", "s": "t", "pid": pid, "tid": tid, "ts": ts, "args": args,
+        }),
+    }
+}
+
 fn render(events: Vec<Value>) -> String {
     let body: Vec<String> = events
         .iter()
         .map(|e| serde_json::to_string(e).expect("trace event serializes"))
         .collect();
     format!("[\n{}\n]\n", body.join(",\n"))
-}
-
-/// Render a simulated timeline as Chrome trace-event JSON ("X" complete
-/// events; microsecond timestamps, which is the trace format's native
-/// unit). The `process` name labels the whole schedule; devices appear
-/// as threads.
-pub fn to_chrome_trace(process: &str, result: &SimResult) -> String {
-    let mut events = metadata(process, &[(1, "CPU"), (2, "GPU")]);
-    for e in &result.timeline {
-        events.push(json!({
-            "name": e.name,
-            "ph": "X",
-            "pid": 1,
-            "tid": device_tid(e.device),
-            "ts": e.start_us,
-            "dur": e.end_us - e.start_us,
-        }));
-    }
-    render(events)
 }
 
 /// Render an execution witness as an annotated Chrome trace: one "X"
@@ -87,40 +77,36 @@ pub fn witness_to_chrome_trace(process: &str, witness: &ExecutionWitness) -> Str
     render(witness_events(&title, witness))
 }
 
+/// The one builder of Chrome events from a witness.
 fn witness_events(title: &str, witness: &ExecutionWitness) -> Vec<Value> {
-    let mut events = metadata(title, &[(1, "CPU"), (2, "GPU"), (TRANSFER_TID, "PCIe")]);
-    // Starts indexed by subgraph so Finish and Transfer events can be
-    // matched up and transfers anchored to a timestamp.
-    let mut start_at: Vec<Option<f64>> = Vec::new();
+    let mut events = metadata(1, title, &[(1, "CPU"), (2, "GPU"), (TRANSFER_TID, "PCIe")]);
+    // Starts indexed by subgraph, so each Finish finds its slice's name
+    // and each transfer its anchor timestamp.
+    let mut starts: Vec<Option<(f64, &str, &[TriggerEdge])>> = Vec::new();
     for ev in &witness.events {
-        if let WitnessEvent::Start { sg, at_us, .. } = ev {
-            if start_at.len() <= *sg {
-                start_at.resize(*sg + 1, None);
+        if let WitnessEvent::Start {
+            sg,
+            name,
+            at_us,
+            triggers,
+            ..
+        } = ev
+        {
+            if starts.len() <= *sg {
+                starts.resize(*sg + 1, None);
             }
-            start_at[*sg] = Some(*at_us);
+            starts[*sg] = Some((*at_us, name, triggers));
         }
     }
+    let start_of = |sg: usize| starts.get(sg).copied().flatten();
     let run_end = witness.virtual_latency_us;
     for ev in &witness.events {
         match ev {
             WitnessEvent::Start { .. } => {}
             WitnessEvent::Finish { sg, device, at_us } => {
-                let Some(start) = start_at.get(*sg).copied().flatten() else {
+                let Some((start, name, triggers)) = start_of(*sg) else {
                     continue; // malformed witness: finish without start
                 };
-                let (name, triggers) = witness
-                    .events
-                    .iter()
-                    .find_map(|e| match e {
-                        WitnessEvent::Start {
-                            sg: s,
-                            name,
-                            triggers,
-                            ..
-                        } if s == sg => Some((name.as_str(), triggers)),
-                        _ => None,
-                    })
-                    .expect("start exists");
                 let trigger_args: Vec<Value> = triggers
                     .iter()
                     .map(|t| {
@@ -132,15 +118,9 @@ fn witness_events(title: &str, witness: &ExecutionWitness) -> Vec<Value> {
                         })
                     })
                     .collect();
-                events.push(json!({
-                    "name": name,
-                    "ph": "X",
-                    "pid": 1,
-                    "tid": device_tid(*device),
-                    "ts": start,
-                    "dur": at_us - start,
-                    "args": {"sg": sg, "triggers": trigger_args},
-                }));
+                let args = json!({"sg": sg, "triggers": trigger_args});
+                let lane = (1, device_tid(*device));
+                events.push(event(name, lane, start, Some(at_us - start), args));
             }
             WitnessEvent::Transfer {
                 node,
@@ -150,22 +130,13 @@ fn witness_events(title: &str, witness: &ExecutionWitness) -> Vec<Value> {
                 consumer,
             } => {
                 let ts = consumer
-                    .and_then(|c| start_at.get(c).copied().flatten())
-                    .unwrap_or(run_end);
-                events.push(json!({
-                    "name": format!("{kind} node {node}"),
-                    "ph": "i",
-                    "s": "t",
-                    "pid": 1,
-                    "tid": TRANSFER_TID,
-                    "ts": ts,
-                    "args": {
-                        "node": node,
-                        "bytes": bytes,
-                        "time_us": time_us,
-                        "consumer": consumer,
-                    },
-                }));
+                    .and_then(start_of)
+                    .map_or(run_end, |(at_us, ..)| at_us);
+                let args = json!({
+                    "node": node, "bytes": bytes, "time_us": time_us, "consumer": consumer,
+                });
+                let name = format!("{kind} node {node}");
+                events.push(event(&name, (1, TRANSFER_TID), ts, None, args));
             }
         }
     }
@@ -200,7 +171,7 @@ pub fn merged_perfetto_trace(
     spans: &[duet_telemetry::Span],
 ) -> String {
     let mut events = Vec::new();
-    events.extend(metadata_for(
+    events.extend(metadata(
         2,
         &format!("{process} offline pipeline (wall clock)"),
         &[
@@ -242,27 +213,8 @@ pub fn merged_perfetto_trace(
                 "arg1": s.arg1,
             })
         };
-        if s.dur_us > 0.0 {
-            events.push(json!({
-                "name": s.kind.name(),
-                "ph": "X",
-                "pid": pid,
-                "tid": tid,
-                "ts": s.start_us,
-                "dur": s.dur_us,
-                "args": args,
-            }));
-        } else {
-            events.push(json!({
-                "name": s.kind.name(),
-                "ph": "i",
-                "s": "t",
-                "pid": pid,
-                "tid": tid,
-                "ts": s.start_us,
-                "args": args,
-            }));
-        }
+        let dur = (s.dur_us > 0.0).then_some(s.dur_us);
+        events.push(event(s.kind.name(), (pid, tid), s.start_us, dur, args));
     }
     render(events)
 }
@@ -270,37 +222,47 @@ pub fn merged_perfetto_trace(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::TimelineEntry;
-    use crate::witness::{TransferKind, TriggerEdge, WitnessSource};
+    use crate::witness::{TransferKind, WitnessSource};
 
-    fn sample() -> SimResult {
-        SimResult {
-            latency_us: 100.0,
-            timeline: vec![
-                TimelineEntry {
-                    name: "rnn".into(),
-                    device: DeviceKind::Cpu,
-                    start_us: 0.0,
-                    end_us: 60.0,
+    /// Two dispatches: "rnn" on the CPU over [0, 60], and a GPU subgraph
+    /// whose name needs escaping over [10, 40].
+    fn sample() -> ExecutionWitness {
+        let dispatch = |sg: usize, name: &str, device, start, end| {
+            [
+                WitnessEvent::Start {
+                    sg,
+                    name: name.into(),
+                    device,
+                    at_us: start,
+                    triggers: vec![],
                 },
-                TimelineEntry {
-                    name: "cnn \"fused\"".into(),
-                    device: DeviceKind::Gpu,
-                    start_us: 10.0,
-                    end_us: 40.0,
+                WitnessEvent::Finish {
+                    sg,
+                    device,
+                    at_us: end,
                 },
-            ],
-            transferred_bytes: 0.0,
+            ]
+        };
+        let mut events = dispatch(0, "rnn", DeviceKind::Cpu, 0.0, 60.0).to_vec();
+        events.extend(dispatch(1, "cnn \"fused\"", DeviceKind::Gpu, 10.0, 40.0));
+        ExecutionWitness {
+            model: "m".into(),
+            source: WitnessSource::Simulator,
+            events,
+            virtual_latency_us: 100.0,
         }
+    }
+
+    fn parse(json: &str) -> Vec<serde_json::Value> {
+        let parsed: serde_json::Value = serde_json::from_str(json).expect("valid JSON");
+        parsed.as_array().unwrap().clone()
     }
 
     #[test]
     fn emits_valid_json_with_all_events() {
-        let json = to_chrome_trace("wide_and_deep", &sample());
-        let parsed: serde_json::Value = serde_json::from_str(&json).expect("valid JSON");
-        let arr = parsed.as_array().unwrap();
-        // 3 metadata + 2 events.
-        assert_eq!(arr.len(), 5);
+        let arr = parse(&witness_to_chrome_trace("wide_and_deep", &sample()));
+        // 4 metadata (process, CPU, GPU, PCIe) + 2 slices.
+        assert_eq!(arr.len(), 6);
         let rnn = arr.iter().find(|e| e["name"] == "rnn").unwrap();
         assert_eq!(rnn["ph"], "X");
         assert_eq!(rnn["tid"], 1);
@@ -309,35 +271,24 @@ mod tests {
 
     #[test]
     fn escapes_quotes_in_names() {
-        let json = to_chrome_trace("m", &sample());
-        let parsed: serde_json::Value = serde_json::from_str(&json).expect("valid JSON");
-        assert!(parsed
-            .as_array()
-            .unwrap()
-            .iter()
-            .any(|e| e["name"] == "cnn \"fused\""));
+        let arr = parse(&witness_to_chrome_trace("m", &sample()));
+        assert!(arr.iter().any(|e| e["name"] == "cnn \"fused\""));
     }
 
     #[test]
     fn control_characters_in_names_stay_valid_json() {
-        let mut r = sample();
-        r.timeline[0].name = "line1\nline2\tcol\u{1}".into();
-        let json = to_chrome_trace("multi\nline model", &r);
-        let parsed: serde_json::Value = serde_json::from_str(&json).expect("valid JSON");
-        assert!(parsed
-            .as_array()
-            .unwrap()
-            .iter()
-            .any(|e| e["name"] == "line1\nline2\tcol\u{1}"));
+        let mut w = sample();
+        if let WitnessEvent::Start { name, .. } = &mut w.events[0] {
+            *name = "line1\nline2\tcol\u{1}".into();
+        }
+        let arr = parse(&witness_to_chrome_trace("multi\nline model", &w));
+        assert!(arr.iter().any(|e| e["name"] == "line1\nline2\tcol\u{1}"));
     }
 
     #[test]
     fn devices_map_to_distinct_threads() {
-        let json = to_chrome_trace("m", &sample());
-        let parsed: serde_json::Value = serde_json::from_str(&json).unwrap();
-        let tids: Vec<i64> = parsed
-            .as_array()
-            .unwrap()
+        let arr = parse(&witness_to_chrome_trace("m", &sample()));
+        let tids: Vec<i64> = arr
             .iter()
             .filter(|e| e["ph"] == "X")
             .map(|e| e["tid"].as_i64().unwrap())

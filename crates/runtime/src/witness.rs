@@ -3,19 +3,25 @@
 //! A witness is the runtime-conformance counterpart of a schedule plan:
 //! where the plan says what *should* happen, the witness records what
 //! *did*. Both the threaded [`HeterogeneousExecutor`] and the
-//! virtual-clock simulator can emit one through a [`WitnessRecorder`]
-//! hook (zero cost when no recorder is attached: no events are built,
-//! no locks taken). The `duet-analysis` crate checks witnesses against
-//! their graph + placed schedule (`D3xx` diagnostics): happens-before
-//! order, virtual-clock readiness, per-device monotonicity, transfer
-//! accounting and reported latency.
+//! virtual-clock simulator return one on request
+//! ([`crate::HeterogeneousExecutor::run_witnessed`],
+//! [`crate::simulate_witnessed`]).
+//! It is derived after the run from the run's event log, which stamps
+//! each dispatch's `Start` and `Finish` with its commit order; a run
+//! that asks for no witness builds no events. The `duet-analysis` crate
+//! checks witnesses against their graph + placed schedule (`D3xx`
+//! diagnostics): happens-before order, virtual-clock readiness,
+//! per-device monotonicity, transfer accounting and reported latency.
 //!
-//! Event order in the log is **observed order** — the order the engine
-//! actually committed the events, which for the threaded executor is a
-//! genuine happens-before trace: a producer records its `Finish` before
-//! it triggers any consumer, so a consumer's `Start` appearing earlier
-//! in the log than a producer's `Finish` is proof of a synchronization
-//! bug, independent of the virtual timestamps.
+//! Event order in the witness is **observed order** — the order the
+//! engine actually committed the events, which for the threaded executor
+//! is a genuine happens-before trace: a producer commits its `Finish`
+//! before it triggers any consumer, and a consumer commits its `Start`
+//! after it receives the trigger, so a consumer's `Start` appearing
+//! earlier than a producer's `Finish` is proof of a synchronization bug,
+//! independent of the virtual timestamps. Each `Start` is preceded by the
+//! transfers of its inputs that crossed the device boundary; the final
+//! D2H transfers of GPU-produced outputs close the log.
 //!
 //! [`HeterogeneousExecutor`]: crate::HeterogeneousExecutor
 
@@ -230,10 +236,12 @@ impl ExecutionWitness {
     }
 }
 
-/// Thread-safe append-only event sink the engines write through.
+/// Thread-safe append-only event sink.
 ///
-/// Engines take an `Option<&WitnessRecorder>`; with `None` they build
-/// no events and take no locks.
+/// [`HeterogeneousExecutor::run_virtual`] fills one, once, with the
+/// witness events of its run when given `Some`.
+///
+/// [`HeterogeneousExecutor::run_virtual`]: crate::HeterogeneousExecutor::run_virtual
 #[derive(Debug, Default)]
 pub struct WitnessRecorder {
     events: Mutex<Vec<WitnessEvent>>,

@@ -9,14 +9,23 @@
 //! spans of the producers that trigger it have finished, and spans on
 //! one device may not overlap.
 //!
+//! A traced run's owned reports must be folds of its own witness: the
+//! per-device busy time and transfer total of its breakdown, its task
+//! counts, and its span tree (one subgraph and one kernel span per
+//! dispatch, one run span).
+//!
 //! This lives in its own integration-test binary (one process, one test
 //! function) because the span ring is process-global.
 
+use std::collections::HashMap;
+
 use duet_compiler::Compiler;
 use duet_device::{DeviceKind, SystemModel};
+use duet_ir::NodeId;
 use duet_models::{input_feeds, wide_and_deep, WideAndDeepConfig};
-use duet_runtime::{HeterogeneousExecutor, Placed, WitnessEvent};
-use duet_telemetry::{Span, SpanKind};
+use duet_runtime::{ExecutionWitness, HeterogeneousExecutor, Placed, WitnessEvent};
+use duet_telemetry::{Span, SpanKind, TraceContext};
+use duet_tensor::Tensor;
 
 /// Contiguous topo chunks on alternating devices (always valid).
 fn chunked(graph: &duet_ir::Graph, k: usize) -> Vec<Placed> {
@@ -156,4 +165,123 @@ fn executor_spans_agree_with_witness_happens_before() {
     assert_eq!(runs.len(), 1);
     assert_eq!(runs[0].detail, placed.len() as u64);
     assert_eq!(runs[0].dur_us, witness.virtual_latency_us);
+
+    let traced = HeterogeneousExecutor::new(&graph, &placed, SystemModel::paper_server());
+    traced_reports_are_folds_of_the_witness(traced, &feeds);
+}
+
+/// The virtual start and finish of every dispatch in `witness`, by
+/// subgraph.
+fn intervals(witness: &ExecutionWitness) -> Vec<(usize, DeviceKind, f64, f64)> {
+    witness
+        .events
+        .iter()
+        .filter_map(|e| match e {
+            WitnessEvent::Start {
+                sg, device, at_us, ..
+            } => {
+                let finish = witness.events.iter().find_map(|f| match f {
+                    WitnessEvent::Finish { sg: s, at_us, .. } if s == sg => Some(*at_us),
+                    _ => None,
+                });
+                Some((
+                    *sg,
+                    *device,
+                    *at_us,
+                    finish.expect("every start has a finish"),
+                ))
+            }
+            _ => None,
+        })
+        .collect()
+}
+
+fn assert_rel_eq(got: f64, want: f64, what: &str) {
+    assert!(
+        (got - want).abs() <= 1e-9 * want.abs().max(f64::MIN_POSITIVE),
+        "{what}: {got} vs witness fold {want}"
+    );
+}
+
+fn traced_reports_are_folds_of_the_witness(
+    exec: HeterogeneousExecutor<'_>,
+    feeds: &HashMap<NodeId, Tensor>,
+) {
+    let parent = TraceContext::root();
+    let (outcome, witness) = exec
+        .with_trace(parent)
+        .run_witnessed(feeds)
+        .expect("traced run succeeds");
+    let dispatches = intervals(&witness);
+
+    // Breakdown: busy = Σ(Finish − Start) per device, transfer = Σ
+    // Transfer.time_us.
+    let busy = |device| -> f64 {
+        dispatches
+            .iter()
+            .filter(|d| d.1 == device)
+            .map(|d| d.3 - d.2)
+            .sum()
+    };
+    let transfer: f64 = witness
+        .events
+        .iter()
+        .filter_map(|e| match e {
+            WitnessEvent::Transfer { time_us, .. } => Some(*time_us),
+            _ => None,
+        })
+        .sum();
+    let b = outcome.breakdown;
+    assert_rel_eq(b.cpu_busy_us, busy(DeviceKind::Cpu), "CPU busy");
+    assert_rel_eq(b.gpu_busy_us, busy(DeviceKind::Gpu), "GPU busy");
+    assert_rel_eq(b.transfer_us, transfer, "transfer");
+
+    // Task counts: Starts per device.
+    for device in [DeviceKind::Cpu, DeviceKind::Gpu] {
+        let starts = dispatches.iter().filter(|d| d.1 == device).count();
+        assert_eq!(
+            outcome.tasks_per_device[&device], starts,
+            "{device:?} tasks"
+        );
+    }
+
+    // Span tree: one run span under `parent`, carrying the latency; per
+    // Start one subgraph span under the run and one kernel span under
+    // that subgraph span, all on the witness's times.
+    let spans = &outcome.trace_spans;
+    let of_kind = |kind| spans.iter().filter(move |s: &&Span| s.kind == kind);
+    let runs: Vec<&Span> = of_kind(SpanKind::ExecRun).collect();
+    assert_eq!(runs.len(), 1, "one run span");
+    let run = runs[0];
+    assert_eq!(run.parent_id, parent.span_id);
+    assert_eq!(run.trace_id, parent.trace_id);
+    assert_eq!(run.dur_us, witness.virtual_latency_us);
+    assert_eq!(run.detail, dispatches.len() as u64);
+    assert_eq!(of_kind(SpanKind::ExecSubgraph).count(), dispatches.len());
+    assert_eq!(of_kind(SpanKind::ExecKernel).count(), dispatches.len());
+    for &(sg, device, start, finish) in &dispatches {
+        let sub: Vec<&Span> = of_kind(SpanKind::ExecSubgraph)
+            .filter(|s| s.detail == sg as u64)
+            .collect();
+        assert_eq!(sub.len(), 1, "one subgraph span for subgraph {sg}");
+        let sub = sub[0];
+        assert_eq!(
+            sub.parent_id, run.span_id,
+            "sg {sg}: parented under the run"
+        );
+        let kernels: Vec<&Span> = of_kind(SpanKind::ExecKernel)
+            .filter(|k| k.parent_id == sub.span_id)
+            .collect();
+        assert_eq!(kernels.len(), 1, "one kernel span under subgraph {sg}");
+        for span in [sub, kernels[0]] {
+            assert_eq!(span.trace_id, parent.trace_id, "sg {sg}: same trace");
+            assert_eq!(span.start_us, start, "sg {sg}: span start == witness start");
+            assert_eq!(
+                span.start_us + span.dur_us,
+                finish,
+                "sg {sg}: span end == witness finish"
+            );
+            assert_eq!(span.arg0 as usize, device as usize, "sg {sg}: device");
+        }
+    }
 }

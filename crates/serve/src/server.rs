@@ -25,7 +25,7 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TrySendError};
 use duet_device::SystemModel;
 use duet_telemetry::registry as tm;
-use duet_telemetry::{clock_us, record_span_traced, Span, SpanKind, TraceContext};
+use duet_telemetry::{clock_us, publish_span, Span, SpanKind, TraceContext};
 use duet_tensor::Tensor;
 
 use crate::batch::{merge_feeds, split_outputs};
@@ -489,23 +489,6 @@ fn anomaly_payload(cache: &PlanCache, system: &SystemModel, trigger_trace: u64) 
     }
 }
 
-/// Publish a span to the global telemetry ring (the flight ring gets
-/// the owned `Span` structs separately, so dumps are complete even with
-/// span recording disabled).
-fn ring_span(s: &Span) {
-    record_span_traced(
-        s.kind,
-        s.detail,
-        s.start_us,
-        s.dur_us,
-        s.arg0,
-        s.arg1,
-        s.trace_id,
-        s.span_id,
-        s.parent_id,
-    );
-}
-
 #[allow(clippy::too_many_arguments)]
 fn execute_chunk(
     chunk: Vec<Pending>,
@@ -587,7 +570,7 @@ fn execute_chunk(
         span_id: batch_ctx.span_id,
         parent_id: lead.span_id,
     };
-    ring_span(&batch_span);
+    publish_span(&batch_span);
 
     // Feedback: measured vs predicted, both in the virtual domain. A
     // sustained gap means the deployed system no longer matches the one
@@ -702,9 +685,9 @@ fn execute_chunk(
                 parent_id: p.trace.span_id,
             },
         ];
-        for s in &member_spans {
-            ring_span(s);
-        }
+        // The flight ring gets the owned spans below, so dumps are
+        // complete even with span recording disabled.
+        member_spans.iter().for_each(publish_span);
 
         // Flight ring: the member's own tree plus the shared batch and
         // executor spans, so a dumped trace replays end to end.

@@ -173,6 +173,40 @@ pub struct Span {
 }
 
 impl Span {
+    /// A span outside any trace context (`seq` is stamped by the ring).
+    pub fn untraced(
+        kind: SpanKind,
+        detail: u64,
+        start_us: f64,
+        dur_us: f64,
+        arg0: f64,
+        arg1: f64,
+    ) -> Span {
+        Span {
+            seq: 0,
+            kind,
+            detail,
+            start_us,
+            dur_us,
+            arg0,
+            arg1,
+            trace_id: 0,
+            span_id: 0,
+            parent_id: 0,
+        }
+    }
+
+    /// This span as `ctx`'s span within its trace, child of span
+    /// `parent_id`.
+    pub fn linked(self, ctx: crate::TraceContext, parent_id: u64) -> Span {
+        Span {
+            trace_id: ctx.trace_id,
+            span_id: ctx.span_id,
+            parent_id,
+            ..self
+        }
+    }
+
     /// Whether this span carries causal trace linkage.
     pub fn is_traced(&self) -> bool {
         self.trace_id != 0
@@ -231,7 +265,7 @@ impl SpanRing {
         }
     }
 
-    /// Record one span. Lock-free and allocation-free.
+    /// Record one untraced span. Lock-free and allocation-free.
     pub fn record(
         &self,
         kind: SpanKind,
@@ -241,38 +275,25 @@ impl SpanRing {
         a0: f64,
         a1: f64,
     ) {
-        self.record_traced(kind, detail, start_us, dur_us, a0, a1, 0, 0, 0);
+        self.publish(&Span::untraced(kind, detail, start_us, dur_us, a0, a1));
     }
 
-    /// Record one span carrying causal trace linkage (trace id, own span
-    /// id, parent span id; all 0 for untraced). Lock-free and
-    /// allocation-free.
-    #[allow(clippy::too_many_arguments)]
-    pub fn record_traced(
-        &self,
-        kind: SpanKind,
-        detail: u64,
-        start_us: f64,
-        dur_us: f64,
-        a0: f64,
-        a1: f64,
-        trace_id: u64,
-        span_id: u64,
-        parent_id: u64,
-    ) {
+    /// Record a span as given, trace linkage included; its `seq` is
+    /// replaced by the ring's own. Lock-free and allocation-free.
+    pub fn publish(&self, s: &Span) {
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
         let slot = &self.slots[(seq % self.slots.len() as u64) as usize];
         slot.version.store(2 * seq + 1, Ordering::Relaxed);
         fence(Ordering::Release);
-        slot.kind.store(kind as u64, Ordering::Relaxed);
-        slot.detail.store(detail, Ordering::Relaxed);
-        slot.start.store(start_us.to_bits(), Ordering::Relaxed);
-        slot.dur.store(dur_us.to_bits(), Ordering::Relaxed);
-        slot.arg0.store(a0.to_bits(), Ordering::Relaxed);
-        slot.arg1.store(a1.to_bits(), Ordering::Relaxed);
-        slot.trace.store(trace_id, Ordering::Relaxed);
-        slot.span_id.store(span_id, Ordering::Relaxed);
-        slot.parent.store(parent_id, Ordering::Relaxed);
+        slot.kind.store(s.kind as u64, Ordering::Relaxed);
+        slot.detail.store(s.detail, Ordering::Relaxed);
+        slot.start.store(s.start_us.to_bits(), Ordering::Relaxed);
+        slot.dur.store(s.dur_us.to_bits(), Ordering::Relaxed);
+        slot.arg0.store(s.arg0.to_bits(), Ordering::Relaxed);
+        slot.arg1.store(s.arg1.to_bits(), Ordering::Relaxed);
+        slot.trace.store(s.trace_id, Ordering::Relaxed);
+        slot.span_id.store(s.span_id, Ordering::Relaxed);
+        slot.parent.store(s.parent_id, Ordering::Relaxed);
         slot.version.store(2 * seq + 2, Ordering::Release);
     }
 
@@ -385,25 +406,12 @@ pub fn record_span(kind: SpanKind, detail: u64, start_us: f64, dur_us: f64, a0: 
     }
 }
 
-/// Record a causally-linked span into the global ring (no-op when
-/// telemetry is off).
+/// Publish an owned span, trace linkage included, into the global ring
+/// (no-op when telemetry is off). The ring stamps its own `seq`.
 #[inline]
-#[allow(clippy::too_many_arguments)]
-pub fn record_span_traced(
-    kind: SpanKind,
-    detail: u64,
-    start_us: f64,
-    dur_us: f64,
-    a0: f64,
-    a1: f64,
-    trace_id: u64,
-    span_id: u64,
-    parent_id: u64,
-) {
+pub fn publish_span(s: &Span) {
     if crate::enabled() {
-        global_ring().record_traced(
-            kind, detail, start_us, dur_us, a0, a1, trace_id, span_id, parent_id,
-        );
+        global_ring().publish(s);
     }
 }
 

@@ -7,6 +7,11 @@
 //! a subgraph's input edges move bytes, then one compute draw per
 //! dispatch, then one D2H draw per GPU-produced output. Reordering any of
 //! those draws, or any change to plan pricing, moves these bits.
+//!
+//! A second fence pins what the noise-free simulator reports for the
+//! same engines — its witness, latency, transferred bytes and timeline —
+//! so a change to how those are derived from the run's event log shows
+//! up bit for bit.
 
 use duet::prelude::*;
 use duet_models::zoo_model;
@@ -103,6 +108,121 @@ fn zoo_plan_numbers_and_noise_stream_are_pinned() {
     assert!(
         mismatches.is_empty(),
         "pinned plan numbers moved; got:\n{}",
+        mismatches.join("\n")
+    );
+}
+
+/// FNV-1a, 64-bit.
+fn fnv64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// (model, FNV-64 of the witness JSON, latency_us bits,
+/// transferred_bytes bits, FNV-64 of the timeline) of one noise-free
+/// `simulate_witnessed` run of the default-built engine.
+const SIM_PINS: [(&str, u64, u64, u64, u64); 8] = [
+    (
+        "wide_and_deep",
+        0x86a534933a137353,
+        0x40a2ce6c61b96900,
+        0x4122c00000000000,
+        0x1d34fd35d3ea1915,
+    ),
+    (
+        "siamese",
+        0x4869279b9eac0ac4,
+        0x40c3e6098f89bf9b,
+        0x40f1000000000000,
+        0xffd1ff89f3605d55,
+    ),
+    (
+        "mtdnn",
+        0x19d7b27afe004cb,
+        0x40c7f65dad830ca6,
+        0x4132020c00000000,
+        0x170d1226a60e7da7,
+    ),
+    (
+        "resnet18",
+        0x54e6e1618c44f3dd,
+        0x40944f27c492ea6d,
+        0x41227f4000000000,
+        0x3daf8d95b0c93fa6,
+    ),
+    (
+        "resnet50",
+        0xe34e09fb5b864fc3,
+        0x40a2d75420d07f90,
+        0x41227f4000000000,
+        0x2fed49822b1e4193,
+    ),
+    (
+        "vgg16",
+        0x4ebf798153c34a00,
+        0x40aff5d226b14f74,
+        0x41227f4000000000,
+        0xdacf5d2e6a8bb29,
+    ),
+    (
+        "mobilenet",
+        0x13e4ad9c129fa672,
+        0x4083be2b99ebd424,
+        0x41227f4000000000,
+        0xba6dbf032f53897b,
+    ),
+    (
+        "squeezenet",
+        0x27a76e986a61c51,
+        0x40840b6998cb91fa,
+        0x41227f4000000000,
+        0xc2ebab24c8bb751e,
+    ),
+];
+
+#[test]
+fn zoo_simulator_outputs_are_pinned() {
+    use duet_runtime::{simulate_witnessed, SimNoise};
+    let mut mismatches = Vec::new();
+    for (name, witness, latency, transferred, timeline) in SIM_PINS {
+        let graph = zoo_model(name).expect("zoo model");
+        let engine = Duet::builder().build(&graph).expect("engine builds");
+        let (sim, w) = simulate_witnessed(
+            engine.graph(),
+            engine.placed(),
+            engine.system(),
+            &mut SimNoise::disabled(),
+        );
+        // Each entry as name, NUL, device, start bits, end bits.
+        let mut entries = Vec::new();
+        for e in &sim.timeline {
+            entries.extend_from_slice(e.name.as_bytes());
+            entries.push(0);
+            entries.push(e.device as u8);
+            entries.extend_from_slice(&e.start_us.to_bits().to_le_bytes());
+            entries.extend_from_slice(&e.end_us.to_bits().to_le_bytes());
+        }
+        let got = (
+            fnv64(
+                serde_json::to_string(&w)
+                    .expect("witness serializes")
+                    .as_bytes(),
+            ),
+            sim.latency_us.to_bits(),
+            sim.transferred_bytes.to_bits(),
+            fnv64(&entries),
+        );
+        if got != (witness, latency, transferred, timeline) {
+            mismatches.push(format!(
+                "    (\"{name}\", {:#x}, {:#x}, {:#x}, {:#x}),",
+                got.0, got.1, got.2, got.3
+            ));
+        }
+    }
+    assert!(
+        mismatches.is_empty(),
+        "pinned simulator outputs moved; got:\n{}",
         mismatches.join("\n")
     );
 }
