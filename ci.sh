@@ -39,6 +39,9 @@ cargo test --workspace -q
 step "interleaving stress suite (fixed seeds)"
 cargo test -q -p duet-runtime --test interleave
 
+step "persistent device workers (1000 two-device runs spawn no thread)"
+cargo test -q -p duet-runtime --test thread_reuse
+
 step "allocation gate (tape+arena steady-state budget)"
 cargo run -q --release -p duet-bench --bin duet-alloc-gate
 

@@ -46,6 +46,9 @@ pub(crate) struct Edge {
     pub node: NodeId,
     /// Producing subgraph, or `None` for a host-resident graph input.
     pub producer: Option<usize>,
+    /// Value slot the producer writes this value to (see
+    /// [`CompiledPlan::value_slots`]); `None` for a graph input.
+    pub slot: Option<usize>,
     /// Size of the value.
     pub bytes: f64,
     /// Transfer cost if this edge crosses the device boundary, µs.
@@ -79,6 +82,8 @@ impl Edge {
 pub(crate) struct Output {
     pub node: NodeId,
     pub producer: usize,
+    /// Value slot the producer writes this output to.
+    pub slot: Option<usize>,
     pub bytes: f64,
     /// D2H cost, paid when the producer runs on the GPU, µs.
     pub d2h_us: f64,
@@ -94,6 +99,10 @@ pub struct CompiledPlan {
     /// Distinct consuming subgraphs per subgraph.
     consumers: Vec<Vec<usize>>,
     outputs: Vec<Output>,
+    /// Subgraph `i`'s exported values occupy value slots
+    /// `value_base[i]..value_base[i + 1]`, in `CompiledSubgraph::outputs`
+    /// order.
+    value_base: Vec<usize>,
     /// Execution time per (subgraph, device), µs.
     exec_us: Vec<[f64; 2]>,
     /// Execution lanes per device (paper engines run 1).
@@ -206,10 +215,13 @@ impl CompiledPlan {
         let subgraphs: Vec<&CompiledSubgraph> = subgraphs.into_iter().collect();
         let n = subgraphs.len();
         let mut producer: HashMap<NodeId, usize> = HashMap::new();
+        let mut value_base = Vec::with_capacity(n + 1);
+        value_base.push(0);
         for (i, sg) in subgraphs.iter().enumerate() {
             for &id in &sg.node_ids {
                 producer.insert(id, i);
             }
+            value_base.push(value_base[i] + sg.outputs.len());
         }
         let producer_of = |node: NodeId| -> usize {
             *producer
@@ -217,6 +229,10 @@ impl CompiledPlan {
                 .unwrap_or_else(|| panic!("schedule does not cover producer of node {node}"))
         };
         let bytes_of = |node: NodeId| graph.node(node).shape.byte_size() as f64;
+        let slot_of = |p: usize, node: NodeId| {
+            let k = subgraphs[p].outputs.iter().position(|&o| o == node)?;
+            Some(value_base[p] + k)
+        };
 
         let mut edges = Vec::with_capacity(n);
         let mut deps: Vec<Vec<usize>> = vec![Vec::new(); n];
@@ -238,6 +254,7 @@ impl CompiledPlan {
                 sg_edges.push(Edge {
                     node,
                     producer,
+                    slot: producer.and_then(|p| slot_of(p, node)),
                     bytes,
                     transfer_us: system.transfer_time_us(bytes),
                 });
@@ -249,9 +266,11 @@ impl CompiledPlan {
             .iter()
             .map(|&node| {
                 let bytes = bytes_of(node);
+                let producer = producer_of(node);
                 Output {
                     node,
-                    producer: producer_of(node),
+                    producer,
+                    slot: slot_of(producer, node),
                     bytes,
                     d2h_us: system.transfer_time_us(bytes),
                 }
@@ -267,6 +286,7 @@ impl CompiledPlan {
             deps,
             consumers,
             outputs,
+            value_base,
             exec_us,
             lanes: [system.cpu.lanes.max(1), system.gpu.lanes.max(1)],
             lane_penalty: [system.cpu.lane_penalty(), system.gpu.lane_penalty()],
@@ -306,6 +326,18 @@ impl CompiledPlan {
     /// The graph outputs with their producers.
     pub(crate) fn outputs(&self) -> &[Output] {
         &self.outputs
+    }
+
+    /// The value slots subgraph `i` writes, one per exported value in
+    /// `CompiledSubgraph::outputs` order. A run keeps one value per slot,
+    /// so values are found by index, never by hashing a node id.
+    pub(crate) fn value_slots(&self, i: usize) -> std::ops::Range<usize> {
+        self.value_base[i]..self.value_base[i + 1]
+    }
+
+    /// Number of value slots over all subgraphs.
+    pub(crate) fn value_slot_count(&self) -> usize {
+        self.value_base[self.len()]
     }
 
     /// Virtual time at which every input of subgraph `i` is resident on

@@ -3,10 +3,16 @@
 //! Once a schedule is decided, DUET instantiates an executor with one
 //! worker per device. Each worker runs a loop over its own synchronization
 //! queue: it polls for ready subgraphs, executes them, and triggers the
-//! subgraphs that depend on the results. The paper uses two child
-//! processes with a shared-memory queue; this reproduction uses two
-//! threads with lock-free MPMC channels (crossbeam) and a mutex-protected
-//! value store — same architecture, same dependency-triggered dataflow.
+//! subgraphs that depend on the results. The paper uses two long-lived
+//! child processes with a shared-memory queue. Here the workers are
+//! threads, and neither is spawned per run: the calling thread runs the
+//! CPU worker's loop itself, and one process-wide GPU worker thread
+//! (module `gpu_worker`) runs the GPU loop as a job, only for runs whose
+//! plan places a subgraph on the GPU. The queues are per-run channels
+//! (the vendored crossbeam stand-in: a `Mutex`-guarded deque and a
+//! `Condvar`). Values cross subgraphs through write-once slots indexed
+//! by the plan, one per exported value — same architecture, same
+//! dependency-triggered dataflow.
 //!
 //! The executor computes *real tensors* (host numerics for both devices)
 //! while also maintaining the virtual clock of the device models, so a run
@@ -21,15 +27,17 @@
 //! [`HeterogeneousExecutor::run_witnessed`], the `D3xx`-checkable
 //! [`ExecutionWitness`] — is derived from that log after the workers
 //! stop. For race hunting, [`DelayInjection`] makes each worker sleep a
-//! seeded random interval before every dispatch, perturbing the real
-//! thread interleaving without changing what a correct run may produce.
+//! seeded random interval before every dispatch and again between its
+//! work and its `Finish` stamp, perturbing the real thread interleaving
+//! without changing what a correct run may produce.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+use std::sync::{Once, OnceLock};
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Sender};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use duet_compiler::ArenaPool;
 use duet_device::{DeviceKind, SystemModel};
 use duet_ir::{Graph, GraphError, NodeId};
@@ -39,6 +47,7 @@ use rand::{rngs::SmallRng, Rng, SeedableRng};
 
 use crate::candidate::{devices_of, CompiledPlan};
 use crate::event_log::{Dispatch, Run};
+use crate::gpu_worker;
 use crate::sim::Placed;
 use crate::witness::{DelayInjection, ExecutionWitness, WitnessRecorder, WitnessSource};
 
@@ -105,9 +114,14 @@ pub struct HeterogeneousExecutor<'g> {
     delays: Option<DelayInjection>,
     pool: Option<&'g ArenaPool>,
     trace: Option<duet_telemetry::TraceContext>,
+    /// Mutant switch for the interleaving suite; see
+    /// [`HeterogeneousExecutor::with_finish_after_trigger`].
+    finish_after_trigger: bool,
 }
 
 /// Inter-op worker threads the executor runs: one per device (CPU, GPU).
+/// The CPU worker is each run's calling thread and the GPU worker one
+/// process-wide thread, so a run occupies at most two threads at once.
 pub const DEVICE_WORKERS: usize = 2;
 
 impl<'g> HeterogeneousExecutor<'g> {
@@ -140,10 +154,13 @@ impl<'g> HeterogeneousExecutor<'g> {
             placed.len(),
             "one planned subgraph per placement"
         );
-        let hw = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1);
-        rayon::configure(hw.saturating_sub(DEVICE_WORKERS).max(1));
+        static KERNEL_POOL_SIZED: Once = Once::new();
+        KERNEL_POOL_SIZED.call_once(|| {
+            let hw = std::thread::available_parallelism()
+                .map(std::num::NonZeroUsize::get)
+                .unwrap_or(1);
+            rayon::configure(hw.saturating_sub(DEVICE_WORKERS).max(1));
+        });
         HeterogeneousExecutor {
             graph,
             placed,
@@ -152,13 +169,27 @@ impl<'g> HeterogeneousExecutor<'g> {
             delays: None,
             pool: None,
             trace: None,
+            finish_after_trigger: false,
         }
     }
 
-    /// Inject seeded random wall-clock delays before every dispatch
-    /// (interleaving stress testing; virtual clocks are unaffected).
+    /// Inject seeded random wall-clock delays before every dispatch and
+    /// before every `Finish` stamp (interleaving stress testing; virtual
+    /// clocks are unaffected).
     pub fn with_delays(mut self, delays: DelayInjection) -> Self {
         self.delays = Some(delays);
+        self
+    }
+
+    /// A known-wrong executor for mutation tests, not for use: each
+    /// dispatch stamps its `Finish` (and takes the delay before it)
+    /// only *after* triggering its consumers, so a consumer on the other
+    /// device can start before its producer has finished. The
+    /// interleaving suite checks that delay injection exposes this to
+    /// the `D3xx` witness checker.
+    #[doc(hidden)]
+    pub fn with_finish_after_trigger(mut self) -> Self {
+        self.finish_after_trigger = true;
         self
     }
 
@@ -230,178 +261,78 @@ impl<'g> HeterogeneousExecutor<'g> {
         &self,
         feeds: Option<&HashMap<NodeId, Tensor>>,
     ) -> Result<(ExecutionOutcome, Vec<Dispatch>), GraphError> {
-        let n = self.placed.len();
         let wall_start = Instant::now();
         let plan = &*self.plan;
-        let devices = &self.devices;
-        // One slot per subgraph: its producers still running, and its log
-        // record (whose `end_us` is what consumers' readiness reads).
-        let slots: Vec<Slot> = (0..n)
-            .map(|i| Slot {
-                pending: AtomicUsize::new(plan.deps(i).len()),
-                dispatch: Mutex::new(Dispatch {
-                    sg: i,
-                    device: devices[i],
-                    start_us: 0.0,
-                    end_us: 0.0,
-                    start_seq: 0,
-                    finish_seq: 0,
-                }),
-            })
-            .collect();
-        // Commit order of the log's events. A single atomic's modification
-        // order agrees with happens-before, so a producer's `Finish`
-        // (stamped before it triggers) always precedes its consumers'
-        // `Start`s (stamped after they receive the trigger).
-        let seq = AtomicU32::new(0);
-
-        // Shared state. The store holds only cross-subgraph intermediates;
-        // feeds are immutable for the whole run and are read lock-free
-        // straight from the caller's map (cloning the feed map per run was
-        // a full HashMap rebuild on every inference).
-        let values: Mutex<HashMap<NodeId, Tensor>> = Mutex::new(HashMap::new());
-        let numerics = feeds.is_some();
-        let error: Mutex<Option<GraphError>> = Mutex::new(None);
-        let done = AtomicUsize::new(0);
-
         let (cpu_tx, cpu_rx) = unbounded::<Msg>();
         let (gpu_tx, gpu_rx) = unbounded::<Msg>();
-        let queue = |d: DeviceKind| -> &Sender<Msg> {
-            match d {
-                DeviceKind::Cpu => &cpu_tx,
-                DeviceKind::Gpu => &gpu_tx,
-            }
+        let state = RunState {
+            exec: self,
+            feeds,
+            // One slot per subgraph: its producers still running, and its
+            // log record (whose `end_us` is what consumers' readiness reads).
+            slots: (0..self.placed.len())
+                .map(|i| Slot {
+                    pending: AtomicUsize::new(plan.deps(i).len()),
+                    dispatch: Mutex::new(Dispatch {
+                        sg: i,
+                        device: self.devices[i],
+                        start_us: 0.0,
+                        end_us: 0.0,
+                        start_seq: 0,
+                        finish_seq: 0,
+                    }),
+                })
+                .collect(),
+            values: (0..plan.value_slot_count())
+                .map(|_| OnceLock::new())
+                .collect(),
+            seq: AtomicU32::new(0),
+            error: Mutex::new(None),
+            done: AtomicUsize::new(0),
+            queues: [cpu_tx, gpu_tx],
         };
 
         // Seed the queues with dependency-free subgraphs.
-        for (i, &device) in devices.iter().enumerate() {
+        for (i, &device) in self.devices.iter().enumerate() {
             if plan.deps(i).is_empty() {
-                queue(device).send(Msg::Run(i)).expect("queue open");
+                state.send(device, i);
             }
         }
+        // The caller is the CPU worker; the GPU worker joins only when
+        // the plan gives it work.
+        if self.devices.contains(&DeviceKind::Gpu) {
+            gpu_worker::join(
+                || state.device_loop(DeviceKind::Gpu, &gpu_rx),
+                || state.device_loop(DeviceKind::Cpu, &cpu_rx),
+            );
+        } else {
+            state.device_loop(DeviceKind::Cpu, &cpu_rx);
+        }
 
-        std::thread::scope(|scope| {
-            for (device, rx) in [(DeviceKind::Cpu, &cpu_rx), (DeviceKind::Gpu, &gpu_rx)] {
-                let values = &values;
-                let slots = &slots;
-                let seq = &seq;
-                let error = &error;
-                let done = &done;
-                let cpu_tx = cpu_tx.clone();
-                let gpu_tx = gpu_tx.clone();
-                scope.spawn(move || {
-                    // Worker loop: poll own queue, execute, log, trigger deps.
-                    let mut device_time = 0.0f64;
-                    let mut delay_rng = self
-                        .delays
-                        .map(|d| SmallRng::seed_from_u64(d.seed ^ (0xD1CE << device as u64)));
-                    while let Ok(msg) = rx.recv() {
-                        let i = match msg {
-                            Msg::Stop => break,
-                            Msg::Run(i) => i,
-                        };
-                        if let (Some(d), Some(rng)) = (self.delays, delay_rng.as_mut()) {
-                            std::thread::sleep(Duration::from_micros(
-                                rng.gen_range(0..d.max_us + 1),
-                            ));
-                        }
-                        let placed = &self.placed[i];
-                        // Virtual readiness: producers' finish + transfers.
-                        let ready = plan.ready_us(i, devices, |p| slots[p].dispatch.lock().end_us);
-                        let start = ready.max(device_time);
-                        let start_seq = seq.fetch_add(1, Ordering::Relaxed);
-
-                        // Real numerics on the host. Only the values this
-                        // subgraph's boundary inputs name are cloned out of
-                        // the shared store — cloning the whole map would be
-                        // O(n²) traffic on deep graphs.
-                        if numerics {
-                            let feed_map = feeds.expect("numerics implies feeds");
-                            let env: HashMap<NodeId, Tensor> = {
-                                let store = values.lock();
-                                placed
-                                    .sg
-                                    .inputs
-                                    .iter()
-                                    .filter_map(|&id| {
-                                        store
-                                            .get(&id)
-                                            .or_else(|| feed_map.get(&id))
-                                            .map(|t| (id, t.clone()))
-                                    })
-                                    .collect()
-                            };
-                            let result = match self.pool {
-                                Some(pool) => {
-                                    let mut arena = pool.checkout(&placed.sg.tape);
-                                    let r = placed.sg.execute_with_arena(&env, &mut arena);
-                                    pool.give_back(arena);
-                                    r
-                                }
-                                None => placed.sg.execute(self.graph, &env),
-                            };
-                            match result {
-                                Ok(outs) => {
-                                    values.lock().extend(outs);
-                                }
-                                Err(e) => {
-                                    // First error wins: a second worker
-                                    // failing while we shut down must not
-                                    // mask the original cause.
-                                    error.lock().get_or_insert(e);
-                                    let _ = cpu_tx.send(Msg::Stop);
-                                    let _ = gpu_tx.send(Msg::Stop);
-                                    break;
-                                }
-                            }
-                        }
-                        device_time = start + plan.exec_time_us(i, device);
-                        {
-                            let mut d = slots[i].dispatch.lock();
-                            d.start_us = start;
-                            d.end_us = device_time;
-                            d.start_seq = start_seq;
-                            d.finish_seq = seq.fetch_add(1, Ordering::Relaxed);
-                        }
-
-                        // Trigger consumers whose last dependency this was.
-                        for &c in plan.consumers(i) {
-                            if slots[c].pending.fetch_sub(1, Ordering::AcqRel) == 1 {
-                                let tx = match devices[c] {
-                                    DeviceKind::Cpu => &cpu_tx,
-                                    DeviceKind::Gpu => &gpu_tx,
-                                };
-                                tx.send(Msg::Run(c)).expect("queue open");
-                            }
-                        }
-                        if done.fetch_add(1, Ordering::AcqRel) + 1 == n {
-                            let _ = cpu_tx.send(Msg::Stop);
-                            let _ = gpu_tx.send(Msg::Stop);
-                        }
-                    }
-                });
-            }
-        });
-
+        let RunState {
+            slots,
+            values,
+            error,
+            ..
+        } = state;
         if let Some(e) = error.into_inner() {
             return Err(e);
         }
 
         // Collect outputs; the latency includes the D2H of GPU outputs.
         let mut log: Vec<Dispatch> = slots.into_iter().map(|s| s.dispatch.into_inner()).collect();
-        let values = values.into_inner();
         let mut outputs = HashMap::new();
         let mut latency = 0.0f64;
         for out in plan.outputs() {
             let mut t = log[out.producer].end_us;
-            if devices[out.producer] == DeviceKind::Gpu {
+            if self.devices[out.producer] == DeviceKind::Gpu {
                 t += out.d2h_us;
             }
             latency = latency.max(t);
-            if numerics {
-                let v = values
-                    .get(&out.node)
-                    .cloned()
+            if feeds.is_some() {
+                let v = out
+                    .slot
+                    .and_then(|s| values[s].get().cloned())
                     .ok_or(GraphError::MissingFeed(out.node))?;
                 outputs.insert(out.node, v);
             }
@@ -441,6 +372,152 @@ struct Slot {
     /// Producers that have not finished yet.
     pending: AtomicUsize,
     dispatch: Mutex<Dispatch>,
+}
+
+/// What the two device loops of one run share.
+struct RunState<'r, 'g> {
+    exec: &'r HeterogeneousExecutor<'g>,
+    /// `None` for a virtual-clock-only run.
+    feeds: Option<&'r HashMap<NodeId, Tensor>>,
+    slots: Vec<Slot>,
+    /// One per exported value ([`CompiledPlan::value_slots`]). A producer
+    /// fills its slots before it triggers any consumer, and a consumer
+    /// reads them only after its trigger, so a write-once cell suffices:
+    /// no lock, no map.
+    values: Vec<OnceLock<Tensor>>,
+    /// Commit order of the log's events. A single atomic's modification
+    /// order agrees with happens-before, so a producer's `Finish`
+    /// (stamped before it triggers) always precedes its consumers'
+    /// `Start`s (stamped after they receive the trigger).
+    seq: AtomicU32,
+    /// The first error; a second worker failing while the run shuts
+    /// down must not mask the original cause.
+    error: Mutex<Option<GraphError>>,
+    /// Subgraphs finished so far.
+    done: AtomicUsize,
+    /// Each device's queue, indexed by `DeviceKind as usize`.
+    queues: [Sender<Msg>; 2],
+}
+
+impl RunState<'_, '_> {
+    fn send(&self, device: DeviceKind, i: usize) {
+        self.queues[device as usize]
+            .send(Msg::Run(i))
+            .expect("queue open");
+    }
+
+    fn stop_all(&self) {
+        for q in &self.queues {
+            let _ = q.send(Msg::Stop);
+        }
+    }
+
+    /// One device's worker loop: poll its own queue, execute, log,
+    /// trigger consumers, until a `Stop` arrives.
+    fn device_loop(&self, device: DeviceKind, queue: &Receiver<Msg>) {
+        // A loop that unwinds stops the other one, so neither side of
+        // `gpu_worker::join` waits forever on a trigger that never comes.
+        let _unwind = StopOnUnwind(self);
+        let plan = &*self.exec.plan;
+        let devices = &self.exec.devices;
+        let mut delays = self.exec.delays.map(|d| {
+            let rng = SmallRng::seed_from_u64(d.seed ^ (0xD1CE << device as u64));
+            (d.max_us, rng)
+        });
+        let mut pause = || {
+            if let Some((max_us, rng)) = delays.as_mut() {
+                std::thread::sleep(Duration::from_micros(rng.gen_range(0..*max_us + 1)));
+            }
+        };
+        let mut device_time = 0.0f64;
+        while let Ok(Msg::Run(i)) = queue.recv() {
+            pause();
+            // Virtual readiness: producers' finish + transfers.
+            let ready = plan.ready_us(i, devices, |p| self.slots[p].dispatch.lock().end_us);
+            let start = ready.max(device_time);
+            let start_seq = self.seq.fetch_add(1, Ordering::Relaxed);
+            if let Some(feeds) = self.feeds {
+                if let Err(e) = self.compute(i, feeds) {
+                    self.error.lock().get_or_insert(e);
+                    self.stop_all();
+                    return;
+                }
+            }
+            device_time = start + plan.exec_time_us(i, device);
+            let mut finish = || {
+                pause();
+                let mut d = self.slots[i].dispatch.lock();
+                d.start_us = start;
+                d.end_us = device_time;
+                d.start_seq = start_seq;
+                d.finish_seq = self.seq.fetch_add(1, Ordering::Relaxed);
+            };
+            if self.exec.finish_after_trigger {
+                self.trigger(i);
+                finish();
+            } else {
+                finish();
+                self.trigger(i);
+            }
+            if self.done.fetch_add(1, Ordering::AcqRel) + 1 == self.slots.len() {
+                self.stop_all();
+            }
+        }
+    }
+
+    /// Real numerics on the host: feed subgraph `i` its boundary inputs
+    /// and fill its value slots.
+    fn compute(&self, i: usize, feeds: &HashMap<NodeId, Tensor>) -> Result<(), GraphError> {
+        let plan = &*self.exec.plan;
+        let sg = &self.exec.placed[i].sg;
+        let env: HashMap<NodeId, Tensor> = plan
+            .edges(i)
+            .iter()
+            .filter_map(|e| {
+                match e.slot {
+                    Some(s) => self.values[s].get(),
+                    None => feeds.get(&e.node),
+                }
+                .map(|t| (e.node, t.clone()))
+            })
+            .collect();
+        let mut outs = match self.exec.pool {
+            Some(pool) => {
+                let mut arena = pool.checkout(&sg.tape);
+                let r = sg.execute_with_arena(&env, &mut arena);
+                pool.give_back(arena);
+                r
+            }
+            None => sg.execute(self.exec.graph, &env),
+        }?;
+        for (slot, node) in plan.value_slots(i).zip(&sg.outputs) {
+            if let Some(t) = outs.remove(node) {
+                self.values[slot]
+                    .set(t)
+                    .expect("each value slot is written once");
+            }
+        }
+        Ok(())
+    }
+
+    /// Queue every consumer whose last dependency `i` was.
+    fn trigger(&self, i: usize) {
+        for &c in self.exec.plan.consumers(i) {
+            if self.slots[c].pending.fetch_sub(1, Ordering::AcqRel) == 1 {
+                self.send(self.exec.devices[c], c);
+            }
+        }
+    }
+}
+
+struct StopOnUnwind<'a>(&'a RunState<'a, 'a>);
+
+impl Drop for StopOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.stop_all();
+        }
+    }
 }
 
 #[cfg(test)]
@@ -654,6 +731,39 @@ mod tests {
                 .with_delays(DelayInjection::new(seed, 80));
             let err = exec.run(&feeds).unwrap_err();
             assert_eq!(err, GraphError::MissingFeed(z), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn gpu_failure_leaves_the_worker_serving_the_next_run() {
+        let g = two_input_branchy();
+        let sgs = split(&g, &["left", "right"]);
+        let placed: Vec<Placed> = sgs
+            .into_iter()
+            .enumerate()
+            .map(|(i, sg)| Placed {
+                sg,
+                device: if i == 1 {
+                    DeviceKind::Gpu
+                } else {
+                    DeviceKind::Cpu
+                },
+            })
+            .collect();
+        let z = g.input_ids()[1];
+        let feeds = input_feeds(&g, 4);
+        let mut partial = feeds.clone();
+        partial.remove(&z);
+        let want = g.eval(&feeds).unwrap();
+        // One executor, so every run goes through the same GPU worker:
+        // the GPU-placed "right" subgraph fails on the missing z feed,
+        // and the run after it must succeed.
+        let exec = HeterogeneousExecutor::new(&g, &placed, SystemModel::paper_server());
+        for _ in 0..5 {
+            assert_eq!(exec.run(&partial).unwrap_err(), GraphError::MissingFeed(z));
+            let out = exec.run(&feeds).unwrap();
+            assert_eq!(out.outputs[&g.outputs()[0]], want[0]);
+            assert_eq!(out.tasks_per_device[&DeviceKind::Gpu], 1);
         }
     }
 

@@ -18,11 +18,14 @@
 //! * [`simulate`] — the same core with seeded noise sampling hooked in,
 //!   writing the run's event log. All evaluation figures are produced
 //!   with it.
-//! * [`HeterogeneousExecutor`] — the engine of §IV-D: one worker thread
-//!   per device polling its own synchronization queue, dependency-
-//!   triggered subgraph execution, real tensor numerics. It dispatches
-//!   from a plan built once per executor (or borrowed from the engine),
-//!   never re-derived per run.
+//! * [`HeterogeneousExecutor`] — the engine of §IV-D: one worker per
+//!   device polling its own synchronization queue, dependency-
+//!   triggered subgraph execution, real tensor numerics. The caller is
+//!   the CPU worker and one long-lived process-wide thread the GPU
+//!   worker, so a run spawns no thread. It dispatches from a plan built
+//!   once per executor (or borrowed from the engine), never re-derived
+//!   per run, and passes values through write-once slots the plan
+//!   indexes.
 //! * One event log per run — both engines record each dispatch once;
 //!   witness, breakdown, task counts, telemetry spans and timeline are
 //!   derived from it after the run.
@@ -39,6 +42,7 @@
 pub mod candidate;
 mod event_log;
 pub mod executor;
+mod gpu_worker;
 pub mod measure;
 pub mod profile;
 pub mod serving;

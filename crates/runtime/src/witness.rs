@@ -281,11 +281,14 @@ impl WitnessRecorder {
 /// Seeded wall-clock delay injection for interleaving stress tests.
 ///
 /// Each executor worker sleeps a uniformly random `0..=max_us`
-/// microseconds before dispatching every subgraph, perturbing the real
-/// interleaving of the two workers without touching the virtual clocks'
-/// inputs. Any ordering the delays can provoke must still satisfy the
-/// witness checks and produce bit-identical outputs — that is the
-/// stress harness's race detector.
+/// microseconds before dispatching every subgraph and again between a
+/// dispatch's work and its `Finish` stamp (one seeded stream per
+/// device), perturbing the real interleaving of the two workers without
+/// touching the virtual clocks' inputs. The second sleep holds open the
+/// window in which an engine that triggered consumers before stamping
+/// `Finish` would let a consumer start first. Any ordering the delays
+/// can provoke must still satisfy the witness checks and produce
+/// bit-identical outputs — that is the stress harness's race detector.
 #[derive(Debug, Clone, Copy)]
 pub struct DelayInjection {
     pub seed: u64,

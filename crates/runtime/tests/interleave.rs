@@ -14,10 +14,11 @@
 //! The delays make lost-wakeup, double-trigger and value-race bugs
 //! vastly more likely to manifest than back-to-back reruns would; the
 //! witness checker then turns any manifestation into a diagnostic
-//! instead of a silent wrong answer. `ci.sh` runs this suite on a fixed
-//! seed set on every gate.
+//! instead of a silent wrong answer. A mutation test runs a known-wrong
+//! executor under the same delays and requires the checker to catch it.
+//! `ci.sh` runs this suite on a fixed seed set on every gate.
 
-use duet_analysis::{check_witness, WitnessCheckConfig};
+use duet_analysis::{check_witness, codes, WitnessCheckConfig};
 use duet_compiler::Compiler;
 use duet_device::{DeviceKind, SystemModel};
 use duet_ir::{Graph, GraphBuilder, NodeId, Op};
@@ -161,4 +162,30 @@ fn wide_deep_small_chunked_interleavings_are_conformant() {
     let g = wide_and_deep(&WideAndDeepConfig::small());
     let placed = chunked(&g, 4);
     stress(&g, &placed, 0..25, 150);
+}
+
+/// Mutation test: an executor that stamps a dispatch's `Finish` only
+/// after triggering its consumers lets a consumer on the other device
+/// commit its `Start` first. Delay injection sleeps between a dispatch's
+/// work and its `Finish` stamp, which holds that window open, so the
+/// `D3xx` order check must reject some of the delayed runs. The chunked
+/// placement alternates devices, so every trigger crosses devices.
+#[test]
+fn finish_stamped_after_trigger_is_caught() {
+    let g = siamese(&SiameseConfig::small());
+    let placed = chunked(&g, 5);
+    let sys = SystemModel::paper_server();
+    let cfg = WitnessCheckConfig::default();
+    let feeds = input_feeds(&g, 42);
+    let caught = (0..40)
+        .filter(|&seed| {
+            let (_, witness) = HeterogeneousExecutor::new(&g, &placed, sys.clone())
+                .with_delays(DelayInjection::new(seed, 120))
+                .with_finish_after_trigger()
+                .run_witnessed(&feeds)
+                .expect("the mutant still computes");
+            check_witness(&g, &placed, &sys, &witness, &cfg).contains(codes::WITNESS_ORDER)
+        })
+        .count();
+    assert!(caught > 0, "no delayed run exposed the late Finish stamp");
 }
